@@ -21,6 +21,15 @@ module Rt_dom = Sds_rt.Rt_dom
 module Rt_token = Sds_rt.Rt_token
 module Rt_prefork = Sds_rt.Rt_prefork
 
+(* Why a row passed or failed: the JSON keeps the single [ok] flag, the
+   console line names the reason. *)
+type verdict =
+  | Pass
+  | Checksum_mismatch  (** a torn, lost or reordered message *)
+  | Over_bound  (** an absolute bar (ns or p99) exceeded *)
+  | Below_scaling  (** x[N] carried too little of x1's throughput *)
+  | No_samples  (** the histogram the row reads stayed empty *)
+
 type result = {
   name : string;
   payload : int;  (** bytes per message *)
@@ -28,13 +37,24 @@ type result = {
   ns_per_msg : float;
   msgs_per_sec : float;
   mb_per_sec : float;
-  ok : bool;  (** checksums matched, nothing torn *)
+  verdict : verdict;
 }
+
+let ok r = r.verdict = Pass
+
+(* Checksum rows: [true] when every message arrived intact. *)
+let intact b = if b then Pass else Checksum_mismatch
+
+let verdict_label = function
+  | Pass -> "ok"
+  | Checksum_mismatch -> "CHECKSUM MISMATCH"
+  | Over_bound -> "OVER BOUND"
+  | Below_scaling -> "BELOW SCALING BAR"
+  | No_samples -> "NO SAMPLES"
 
 let pp_result r =
   Fmt.pr "%-24s %6dB %9d msgs %9.1f ns/msg %10.2f Mmsg/s %9.1f MB/s %s@." r.name r.payload
-    r.msgs r.ns_per_msg (r.msgs_per_sec /. 1e6) r.mb_per_sec
-    (if r.ok then "ok" else "CHECKSUM MISMATCH")
+    r.msgs r.ns_per_msg (r.msgs_per_sec /. 1e6) r.mb_per_sec (verdict_label r.verdict)
 
 (* ---- checksum folding ----
 
@@ -120,7 +140,7 @@ let cross_domain_throughput ?(ring_size = 1 lsl 20) ?(batch = 64) ~payload ~msgs
     ns_per_msg = dt *. 1e9 /. float_of_int msgs;
     msgs_per_sec = float_of_int msgs /. dt;
     mb_per_sec = float_of_int msgs *. float_of_int payload /. dt /. 1e6;
-    ok;
+    verdict = intact ok;
   }
 
 (* ---- §4.6 zero-copy stream: page-descriptor handoff vs inline copy ----
@@ -259,7 +279,7 @@ let cross_domain_stream_pool ?(ring_size = 1 lsl 18) ?(pool_pages = 8192)
     ns_per_msg = dt *. 1e9 /. float_of_int msgs;
     msgs_per_sec = float_of_int msgs /. dt;
     mb_per_sec = float_of_int msgs *. float_of_int payload /. dt /. 1e6;
-    ok;
+    verdict = intact ok;
   }
 
 (* ---- cross-domain ping-pong ----
@@ -296,7 +316,7 @@ let cross_domain_pingpong ?(ring_size = 1 lsl 16) ~payload ~rounds () =
     ns_per_msg = dt *. 1e9 /. float_of_int rounds;
     msgs_per_sec = float_of_int rounds /. dt;
     mb_per_sec = float_of_int rounds *. float_of_int payload /. dt /. 1e6;
-    ok = true;
+    verdict = Pass;
   }
 
 (* Stage-breakdown row derived from the ping-pong: the p99 of the §4.4
@@ -312,7 +332,7 @@ let wake_p99_row ~payload ~rounds =
     ns_per_msg = float_of_int hs.Sds_obs.Obs.Metrics.hs_p99;
     msgs_per_sec = (if rounds > 0 then float_of_int hs.Sds_obs.Obs.Metrics.hs_count /. float_of_int rounds else 0.);
     mb_per_sec = 0.;
-    ok = true;
+    verdict = Pass;
   }
 
 (* ---- span-stamping overhead ----
@@ -362,7 +382,7 @@ let span_overhead ?(ring_size = 1 lsl 20) ?(payload = 64) ?(msgs = 200_000) ?(re
     ns_per_msg = overhead;
     msgs_per_sec = 0.;
     mb_per_sec = 0.;
-    ok = overhead <= 2.0;
+    verdict = (if overhead <= 2.0 then Pass else Over_bound);
   }
 
 (* ---- heartbeat-stamp overhead ----
@@ -412,7 +432,7 @@ let heartbeat_overhead ?(ring_size = 1 lsl 20) ?(payload = 64) ?(msgs = 200_000)
     ns_per_msg = overhead;
     msgs_per_sec = 0.;
     mb_per_sec = 0.;
-    ok = overhead <= 2.0;
+    verdict = (if overhead <= 2.0 then Pass else Over_bound);
   }
 
 (* ---- single-domain loopback (enq+deq on one core) ---- *)
@@ -435,7 +455,7 @@ let single_domain_throughput ?(ring_size = 1 lsl 20) ~payload ~msgs () =
     ns_per_msg = dt *. 1e9 /. float_of_int msgs;
     msgs_per_sec = float_of_int msgs /. dt;
     mb_per_sec = float_of_int msgs *. float_of_int payload /. dt /. 1e6;
-    ok = R.is_empty r;
+    verdict = intact (R.is_empty r);
   }
 
 (* Batched flavour: vectored enqueue of [batch] messages, then a batched
@@ -461,7 +481,7 @@ let single_domain_batched ?(ring_size = 1 lsl 20) ~payload ~msgs ~batch () =
     ns_per_msg = dt *. 1e9 /. float_of_int total;
     msgs_per_sec = float_of_int total /. dt;
     mb_per_sec = float_of_int total *. float_of_int payload /. dt /. 1e6;
-    ok = R.is_empty r;
+    verdict = intact (R.is_empty r);
   }
 
 (* §4.5 adaptive batch sizing measured at ring level: the socket layer's
@@ -501,7 +521,7 @@ let single_domain_adaptive ?(ring_size = 1 lsl 20) ~payload ~msgs () =
     ns_per_msg = dt *. 1e9 /. float_of_int msgs;
     msgs_per_sec = float_of_int msgs /. dt;
     mb_per_sec = float_of_int msgs *. float_of_int payload /. dt /. 1e6;
-    ok = R.is_empty r;
+    verdict = intact (R.is_empty r);
   }
 
 (* ---- real-domain prefork data plane (§4.2 + §4.5.2 end to end) ----
@@ -529,7 +549,7 @@ let prefork_row ~workers ~payload ~msgs_per_conn =
     msgs_per_sec = float_of_int total_msgs /. dt;
     mb_per_sec = float_of_int expected_bytes /. dt /. 1e6;
     (* Every byte exactly once, every connection served exactly once. *)
-    ok = s.Rt_prefork.total_bytes = expected_bytes && Rt_prefork.total_served s = workers;
+    verdict = intact (s.Rt_prefork.total_bytes = expected_bytes && Rt_prefork.total_served s = workers);
   }
 
 (* With [c = min workers cores] truly parallel lanes, x[N] must carry
@@ -555,13 +575,15 @@ let run_prefork () =
     List.map (fun w -> prefork_row ~workers:w ~payload:16384 ~msgs_per_conn:(6_000 / w))
       worker_counts
   in
-  (* Fold the scaling acceptance into the x2/x4 64 B rows' ok flags. *)
+  (* Fold the scaling acceptance into the x2/x4 64 B rows' verdicts. *)
   let x1 = List.hd rows64 in
   let rows64 =
     List.map2
       (fun w r ->
         if w = 1 then r
-        else { r with ok = r.ok && r.msgs_per_sec >= scaling_target w *. x1.msgs_per_sec })
+        else if ok r && r.msgs_per_sec < scaling_target w *. x1.msgs_per_sec then
+          { r with verdict = Below_scaling }
+        else r)
       worker_counts rows64
   in
   rows64 @ rows16k
@@ -608,7 +630,10 @@ let takeover_row () =
     ns_per_msg = p99;
     msgs_per_sec = 0.;
     mb_per_sec = 0.;
-    ok = hs.Sds_obs.Obs.Metrics.hs_count > 0 && p99 <= bar;
+    verdict =
+      (if hs.Sds_obs.Obs.Metrics.hs_count = 0 then No_samples
+       else if p99 <= bar then Pass
+       else Over_bound);
   }
 
 (* ---- suites ---- *)
@@ -676,8 +701,10 @@ let run_all ?(copy_mode = Cp.Adaptive) () =
     @ [ batched; adaptive; span_oh; hb_oh ]
     @ prefork @ [ takeover ]
   in
-  if List.for_all (fun r -> r.ok) all then Fmt.pr "all checksums ok@."
-  else Fmt.pr "CHECKSUM FAILURES PRESENT@.";
+  (match List.filter (fun r -> not (ok r)) all with
+  | [] -> Fmt.pr "all rows ok@."
+  | bad ->
+    List.iter (fun r -> Fmt.pr "FAILED: %s (%s)@." r.name (verdict_label r.verdict)) bad);
   all
 
 (* ---- JSON emission (BENCH_ring.json) ---- *)
@@ -685,7 +712,7 @@ let run_all ?(copy_mode = Cp.Adaptive) () =
 let json_of_result r =
   Printf.sprintf
     {|    {"name": %S, "payload_bytes": %d, "msgs": %d, "ns_per_msg": %.2f, "msgs_per_sec": %.0f, "mb_per_sec": %.2f, "ok": %b}|}
-    r.name r.payload r.msgs r.ns_per_msg r.msgs_per_sec r.mb_per_sec r.ok
+    r.name r.payload r.msgs r.ns_per_msg r.msgs_per_sec r.mb_per_sec (ok r)
 
 (* Reference points carried in the file so the perf trajectory reads
    PR-over-PR without digging through git history: the seed's wait/notify

@@ -9,7 +9,8 @@
 
    - init states and observer/assertion glue (the consumer that checks the
      published record, the requester that checks the drained socket state)
-     — these encode the *claims*, not the protocol;
+     — these encode the *claims*, not the protocol — plus the ring callers'
+     body and header writes in front of its publication primitive;
    - the desc-handoff model, whose ownership rule spans pagepool + ring +
      libsd rather than one annotated region;
    - the seeded mutations, now expressed as transforms over the extracted
@@ -34,32 +35,19 @@ let ring_files = [ "lib/ring/spsc_ring.ml" ]
 let notify_files = [ "lib/notify/waiter.ml" ]
 let token_files = [ "lib/rt/rt_token.ml" ]
 
-(* §4.2 ring publication: [tail] is the published cursor; payload and
-   header bytes collapse to one unit-step plain cell each ([data], [hdr]) —
-   what matters is their order against the tail store, not their contents.
-   Credits and metrics are producer-local concerns, out of model. *)
+(* §4.2 ring publication: [tail] is the published cursor and [credits] the
+   free-byte counter the producer spends and the consumer returns.  In unit
+   steps the run is one record ([need] = 1) published from position 0 (the
+   producer's own [tail] argument — it is the cursor's only writer).  Span
+   stamps, producer stats and the rx wakeup are out of model. *)
 let ring_spec =
   {
-    E.atomics = [ ("tail", "tail") ];
-    atomic_elide = [ "credits" ];
+    E.atomics = [ ("tail", "tail"); ("credits", "credits") ];
+    atomic_elide = [];
     plains = [];
-    plain_elide = [ "span"; "prod"; "enqueued"; "enq_bytes"; "was_full"; "rx_waiter" ];
-    ints = [ ("need", 1) ];
-    calls =
-      [
-        ( "blit_in",
-          E.Custom
-            (fun o _ ->
-              o.emit (Plain_store ("data", Int 1));
-              E.Vopaque "unit") );
-        ( "write_header",
-          E.Custom
-            (fun o _ ->
-              o.emit (Plain_store ("hdr", Int 1));
-              E.Vopaque "unit") );
-        ("stamp_pub", E.Ignore);
-        ("notify", E.Ignore);
-      ];
+    plain_elide = [ "enqueued"; "enq_bytes"; "was_full"; "rx_waiter" ];
+    ints = [ ("need", 1); ("tail", 0) ];
+    calls = [ ("stamp_pubs", E.Ignore); ("notify", E.Ignore) ];
   }
 
 (* §4.4 eventcount: [seq]/[state] are the waiter's own atomics; the
@@ -178,17 +166,22 @@ let plainify var =
 let plain_tail_store =
   map_stmt (function Store ("tail", e) -> Plain_store ("tail", e) | s -> s)
 
-(* Move the header write after the tail publication. *)
-let header_after_publish stmts =
-  let is_hdr = function Plain_store ("hdr", _) -> true | _ -> false in
+(* Move the statements [moved] selects to just after the tail publication. *)
+let after_publish moved stmts =
   let is_pub = function Store ("tail", _) -> true | _ -> false in
-  let hdr = List.filter is_hdr stmts in
+  let late = List.filter moved stmts in
   rewrite
     (fun l ->
       List.concat_map (fun s ->
-          if is_hdr s then [] else if is_pub s then s :: hdr else [ s ])
+          if moved s then [] else if is_pub s then s :: late else [ s ])
         l)
     stmts
+
+let header_after_publish = after_publish (function Plain_store ("hdr", _) -> true | _ -> false)
+
+(* Spend the credits only after publishing: the consumer can dequeue and
+   return them first, overflowing capacity. *)
+let spend_after_publish = after_publish (function Faa ("credits", _, _) -> true | _ -> false)
 
 (* Delete the post-prepare re-check: the [load cond; if ...] pair collapses
    to its park branch. *)
@@ -206,13 +199,22 @@ let drop_recheck =
 
 let keep = fun s -> s
 
-(* §4.2 ring publication.  Producer extracted from [Spsc_ring.try_enqueue]'s
-   publication region; the consumer is observer glue: read tail (the
-   acquire edge) and, if it observed the publication, assert the header
-   and payload writes are visible. *)
+(* §4.2 ring publication.  The producer's publication step is extracted
+   from [Spsc_ring.publish], the one primitive all three enqueue flavours
+   (try_enqueue, enqueue_batch, try_enqueue_descs) end in; glue in front
+   of it does what each caller does first: write the body ([data]) and
+   then the header ([hdr]) — payload and header bytes collapse to one
+   unit-step plain cell each, since what matters is their order against
+   the tail store.  The consumer is observer glue: read tail
+   (the acquire edge) and, if it observed the publication, assert the
+   header and payload writes are visible, then return the record's credit
+   and assert the return fits the capacity ([credits] starts at 1, one
+   record) — the check [return_credits] makes, which a spend landing after
+   the publish would break. *)
 let ring_publication ~root ?(mutate = keep) () =
+  let publish = E.extract ~root ~files:ring_files ~spec:ring_spec "ring-publication/producer" in
   let producer =
-    mutate (E.extract ~root ~files:ring_files ~spec:ring_spec "ring-publication/producer")
+    mutate (Plain_store ("data", Int 1) :: Plain_store ("hdr", Int 1) :: publish)
   in
   let consumer =
     [
@@ -224,12 +226,16 @@ let ring_publication ~root ?(mutate = keep) () =
             Plain_load ("data", "d");
             Assert (Rel (Eq, Reg "h", Int 1), "consumer observed tail but header is unwritten");
             Assert (Rel (Eq, Reg "d", Int 1), "consumer observed tail but payload is unwritten");
+            Faa ("credits", Int 1, "c");
+            Assert
+              ( Rel (Ge, Int 1, Add (Reg "c", Int 1)),
+                "credit return overflows capacity: the spend landed after the publish" );
           ],
           [] );
     ]
   in
   {
-    globals = [ ("data", 0); ("hdr", 0); ("tail", 0) ];
+    globals = [ ("credits", 1); ("data", 0); ("hdr", 0); ("tail", 0) ];
     threads = [ { name = "producer"; body = producer }; { name = "consumer"; body = consumer } ];
   }
 
@@ -405,6 +411,7 @@ let mutations ~root =
   [
     ("ring-publication-unfenced", ring_publication ~root ~mutate:plain_tail_store ());
     ("ring-publication-header-late", ring_publication ~root ~mutate:header_after_publish ());
+    ("ring-publication-spend-late", ring_publication ~root ~mutate:spend_after_publish ());
     ("park-notify-no-recheck", park_notify ~root ~mutate:drop_recheck ());
     ("desc-handoff-release-early", desc_handoff ~release_before_read:true ());
     (* The whole holder side loses the token word's atomicity — boundary

@@ -37,8 +37,9 @@
    [credits] bytes per enqueue; the receiver counts consumed bytes and posts
    a credit return once it crosses half the ring, which the transport layer
    delivers back to the sender (in shared memory this is a single flag write;
-   under RDMA it rides an RDMA write).  [dequeue ~auto_credit:true] performs
-   the return synchronously, which is what a bare in-process queue does.
+   under RDMA it rides an RDMA write).  A dequeue with [~auto_credit:true]
+   performs the return synchronously, which is what a bare in-process queue
+   does.
 
    Single-producer / single-consumer by design — SocksDirect guarantees one
    active sender and one active receiver per direction via tokens, which is
@@ -47,8 +48,8 @@
 let header_bytes = 8
 let align = 8
 
-(* Unaligned fixed-width access into [Bytes.t] without bounds checks; every
-   use is behind an explicit in-range test. *)
+(* Fixed-width access into [Bytes.t] without bounds checks; every use is at
+   an 8-byte-aligned ring offset, so the word lies wholly inside [buf]. *)
 external unsafe_get_int32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external unsafe_set_int32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external unsafe_get_int64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -305,30 +306,13 @@ let[@sds.hot] header_checksum len flags =
   let x = x lxor (x lsl 5) lxor flags lxor 0x9E37 in
   x land 0xFFFF
 
-(* Positions only ever advance by [record_bytes] (a multiple of 8) from 0,
-   so the 8-byte header is always contiguous and the fast path below always
-   hits; the byte-wise slow path is kept for generality should alignment
-   rules ever change. *)
+(* Positions only ever advance by [record_bytes] (a multiple of 8) from 0
+   in a power-of-two ring of at least 64 bytes, so an 8-byte header never
+   straddles the wrap: it is always one aligned pair of 32-bit words. *)
 let[@sds.hot] write_header t pos len flags =
   let off = pos land t.mask in
-  if off + header_bytes <= t.size then begin
-    unsafe_set_int32 t.buf off (Int32.of_int len);
-    unsafe_set_int32 t.buf (off + 4)
-      (Int32.of_int (flags lor (header_checksum len flags lsl 16)))
-  end
-  else
-    ((* Unreachable while positions stay 8-byte aligned; kept for
-        generality and exempt from the hot-alloc rule. *)
-     let sum = header_checksum len flags in
-     let byte i =
-       if i < 4 then (len lsr (8 * i)) land 0xFF
-       else if i < 6 then (flags lsr (8 * (i - 4))) land 0xFF
-       else (sum lsr (8 * (i - 6))) land 0xFF
-     in
-     for i = 0 to header_bytes - 1 do
-       Bytes.unsafe_set t.buf ((pos + i) land t.mask) (Char.unsafe_chr (byte i))
-     done)
-    [@sds.cold]
+  unsafe_set_int32 t.buf off (Int32.of_int len);
+  unsafe_set_int32 t.buf (off + 4) (Int32.of_int (flags lor (header_checksum len flags lsl 16)))
 
 (* Headers decode to a packed immediate — [len lor (flags lsl 32)], or
    [-1] when the checksum rejects — so the hot path allocates nothing. *)
@@ -336,26 +320,12 @@ let no_msg = -1
 
 let[@sds.hot] decode_header t pos =
   let off = pos land t.mask in
-  if off + header_bytes <= t.size then begin
-    let len = Int32.to_int (unsafe_get_int32 t.buf off) in
-    let hi = Int32.to_int (unsafe_get_int32 t.buf (off + 4)) land 0xFFFFFFFF in
-    let flags = hi land 0xFFFF in
-    let sum = (hi lsr 16) land 0xFFFF in
-    if sum <> header_checksum len flags || len < 0 || record_bytes len > t.size / 2 then no_msg
-    else len lor (flags lsl 32)
-  end
-  else
-    ((* Unreachable while positions stay 8-byte aligned, like the
-        [write_header] slow path. *)
-     let byte i = Char.code (Bytes.unsafe_get t.buf ((pos + i) land t.mask)) in
-     let word i n =
-       let rec go k acc = if k = n then acc else go (k + 1) (acc lor (byte (i + k) lsl (8 * k))) in
-       go 0 0
-     in
-     let len = word 0 4 and flags = word 4 2 and sum = word 6 2 in
-     if sum <> header_checksum len flags || len < 0 || record_bytes len > t.size / 2 then no_msg
-     else len lor (flags lsl 32))
-    [@sds.cold]
+  let len = Int32.to_int (unsafe_get_int32 t.buf off) in
+  let hi = Int32.to_int (unsafe_get_int32 t.buf (off + 4)) land 0xFFFFFFFF in
+  let flags = hi land 0xFFFF in
+  let sum = (hi lsr 16) land 0xFFFF in
+  if sum <> header_checksum len flags || len < 0 || record_bytes len > t.size / 2 then no_msg
+  else len lor (flags lsl 32)
 
 let[@inline] packed_len p = p land 0xFFFFFFFF
 let[@inline] packed_flags p = (p lsr 32) land 0xFFFF
@@ -390,9 +360,56 @@ let[@inline] desc_page e = e lsr 26
 let[@inline] is_desc_packed p = packed_flags p land flag_desc <> 0
 let[@inline] desc_count_packed p = packed_len p lsr 3
 
-let read_header t pos =
-  let p = decode_header t pos in
-  if p = no_msg then None else Some (packed_len p, packed_flags p)
+(* ---- the publication primitive ----
+
+   Every enqueue flavour writes its record run — payload or descriptor
+   bodies first, then the headers — into [tail, tail + need) and ends
+   here.  [n] is the number of records in the run, [bytes] their payload
+   total.  This is the only place the tail moves, and the only credit
+   spend, so the §4.2 ordering argument is written (and model-checked)
+   once: the [@sds.model] region below is extracted verbatim into the
+   "ring-publication" Interleave model (see lib/check/extract.ml), and
+   edits here must keep the golden model in test/golden/ in sync, or
+   `sdmodel check` fails CI. *)
+
+(* Stamp every sampled sequence of the run (the consumer derives the
+   sampled set from the sequence number alone, so producer and consumer
+   must agree even mid-batch); unsampled iterations are one branch.  The
+   stamps precede the tail release, so they ride its happens-before edge. *)
+let[@inline] [@sds.hot] stamp_pubs t n =
+  for j = 0 to n - 1 do
+    Span.stamp_pub t.span ~seq:(t.prod.enqueued + j)
+  done
+
+let[@inline] [@sds.hot] publish t tail ~need ~n ~bytes =
+  begin
+    stamp_pubs t n;
+    (* Spend credits BEFORE publishing the tail.  The consumer can dequeue
+       the instant the tail store lands; if its batched credit return fired
+       in the publish->spend window, [return_credits] would see
+       credits + returned > capacity and reject a correct return.  Spending
+       first keeps spends-landed >= published >= consumed at every
+       interleaving, so the capacity invariant holds unconditionally. *)
+    ignore (Atomic.fetch_and_add t.credits (-need));
+    (* The atomic tail store publishes every plain body and header write
+       the caller made: the consumer acquires through [tail], so it never
+       reads a half-written record (§4.2 consistency argument). *)
+    Atomic.set t.tail (tail + need);
+    t.prod.enqueued <- t.prod.enqueued + n;
+    t.prod.enq_bytes <- t.prod.enq_bytes + bytes;
+    t.prod.was_full <- 0;
+    (* §4.4 sender-mediated wakeup: one load of the consumer's parked flag;
+       the mutex path runs at most once per parked episode. *)
+    Sds_notify.Waiter.notify t.rx_waiter
+  end [@sds.model "ring-publication/producer"]
+
+(* Credit check of the single-record enqueues; a refusal is a full event. *)
+let[@inline] [@sds.hot] credits_cover t need =
+  if need <= Atomic.get t.credits then true
+  else begin
+    note_reject t Obs.Trace.Ring_full;
+    false
+  end
 
 (* Attempt to enqueue [len] bytes of [src] (with [flags] in the header).
    Returns [false] when the sender lacks credits — never overwrites. *)
@@ -400,46 +417,21 @@ let[@sds.hot] try_enqueue ?(flags = 0) t src ~off ~len =
   if len < 0 || off < 0 || off + len > Bytes.length src then invalid_arg "Spsc_ring.try_enqueue";
   let need = record_bytes len in
   if need > t.size / 2 then invalid_arg "Spsc_ring.try_enqueue: message larger than half ring";
-  if need > Atomic.get t.credits then begin
-    note_reject t Obs.Trace.Ring_full;
-    false
-  end
+  if not (credits_cover t need) then false
   else begin
-    (* Payload first, then the header, then the atomic tail store: the
-       consumer acquires through [tail], so it never reads a half-written
-       record (§4.2 consistency argument).  The [@sds.model] region below is
-       extracted verbatim into the "ring-publication" Interleave model
-       (see lib/check/extract.ml) — edits here must keep the golden model in
-       test/golden/ in sync, or `sdmodel check` fails CI. *)
-    begin
-      let tail = Atomic.get t.tail in
-      blit_in t src off (tail + header_bytes) len;
-      write_header t tail len flags;
-      Span.stamp_pub t.span ~seq:t.prod.enqueued;
-      (* Spend credits BEFORE publishing the tail.  The consumer can dequeue
-         the instant the tail store lands; if its batched credit return fired
-         in the publish->spend window, [return_credits] would see
-         credits + returned > capacity and reject a correct return.  Spending
-         first keeps spends-landed >= published >= consumed at every
-         interleaving, so the capacity invariant holds unconditionally. *)
-      ignore (Atomic.fetch_and_add t.credits (-need));
-      Atomic.set t.tail (tail + need);
-      t.prod.enqueued <- t.prod.enqueued + 1;
-      t.prod.enq_bytes <- t.prod.enq_bytes + len;
-      t.prod.was_full <- 0;
-      (* §4.4 sender-mediated wakeup: one load of the consumer's parked flag;
-         the mutex path runs at most once per parked episode. *)
-      Sds_notify.Waiter.notify t.rx_waiter;
-      true
-    end [@sds.model "ring-publication/producer"]
+    let tail = Atomic.get t.tail in
+    blit_in t src off (tail + header_bytes) len;
+    write_header t tail len flags;
+    publish t tail ~need ~n:1 ~bytes:len;
+    true
   end
 
-(* Vectored enqueue: writes as many of [srcs] as credits allow, publishing
-   the tail once and spending credits once for the whole batch — the
-   amortization behind the paper's adaptive batching (§4.2).  Returns how
-   many messages of the prefix were enqueued. *)
+(* Vectored enqueue: writes as many of [srcs] as credits allow, then
+   publishes the whole run at once — one tail store and one credit spend
+   for the batch, the amortization behind the paper's adaptive batching
+   (§4.2).  Returns how many messages of the prefix were enqueued. *)
 let[@sds.hot] enqueue_batch ?(flags = 0) t srcs =
-  let budget = ref (Atomic.get t.credits) in
+  let budget = Atomic.get t.credits in
   let tail0 = Atomic.get t.tail in
   let tail = ref tail0 in
   let n = Array.length srcs in
@@ -452,54 +444,35 @@ let[@sds.hot] enqueue_batch ?(flags = 0) t srcs =
       invalid_arg "Spsc_ring.enqueue_batch";
     let need = record_bytes len in
     if need > t.size / 2 then invalid_arg "Spsc_ring.enqueue_batch: message larger than half ring";
-    if need > !budget then stop := true
+    if !tail - tail0 + need > budget then stop := true
     else begin
       blit_in t src off (!tail + header_bytes) len;
       write_header t !tail len flags;
       tail := !tail + need;
-      budget := !budget - need;
       bytes := !bytes + len;
       incr i
     end
   done;
   if !i > 0 then begin
-    (* Stamp every sampled sequence of the batch (the consumer derives the
-       sampled set from the sequence number alone, so producer and consumer
-       must agree even mid-batch); unsampled iterations are one branch. *)
-    for j = 0 to !i - 1 do
-      Span.stamp_pub t.span ~seq:(t.prod.enqueued + j)
-    done;
-    (* Spend before publish, as in [try_enqueue]: the consumer must never
-       observe a published record whose credit spend hasn't landed. *)
-    ignore (Atomic.fetch_and_add t.credits (tail0 - !tail));
-    Atomic.set t.tail !tail;
-    t.prod.enqueued <- t.prod.enqueued + !i;
-    t.prod.enq_bytes <- t.prod.enq_bytes + !bytes;
+    publish t tail0 ~need:(!tail - tail0) ~n:!i ~bytes:!bytes;
     t.prod.batches <- t.prod.batches + 1;
-    t.prod.was_full <- 0;
     Obs.Metrics.observe h_batch_size !i;
-    Obs.Trace.emit_n Obs.Trace.Batch !i;
-    (* One wakeup check per published batch (amortized like the tail store). *)
-    Sds_notify.Waiter.notify t.rx_waiter
+    Obs.Trace.emit_n Obs.Trace.Batch !i
   end;
   if !stop then note_reject t Obs.Trace.Credit_stall;
   !i
 
 (* Enqueue the first [n] descriptors of [entries] as one [flag_desc]
-   record.  Same credit/publication discipline as [try_enqueue]; the body
-   is written with aligned 8-byte stores (positions advance by multiples of
-   8 from 0, so an entry never straddles the wrap).  Publishing transfers
-   the page references to the consumer. *)
+   record.  The body is written with aligned 8-byte stores (positions
+   advance by multiples of 8 from 0, so an entry never straddles the
+   wrap).  Publishing transfers the page references to the consumer. *)
 let[@sds.hot] try_enqueue_descs ?(flags = 0) t entries ~n =
   if n <= 0 || n > Array.length entries then invalid_arg "Spsc_ring.try_enqueue_descs";
   let len = 8 * n in
   let need = record_bytes len in
   if need > t.size / 2 then
     invalid_arg "Spsc_ring.try_enqueue_descs: descriptor vector larger than half ring";
-  if need > Atomic.get t.credits then begin
-    note_reject t Obs.Trace.Ring_full;
-    false
-  end
+  if not (credits_cover t need) then false
   else begin
     let tail = Atomic.get t.tail in
     for i = 0 to n - 1 do
@@ -508,18 +481,9 @@ let[@sds.hot] try_enqueue_descs ?(flags = 0) t entries ~n =
         (Int64.of_int (Array.unsafe_get entries i))
     done;
     write_header t tail len (flags lor flag_desc);
-    Span.stamp_pub t.span ~seq:t.prod.enqueued;
-    (* Spend before publish (see [try_enqueue]). *)
-    ignore (Atomic.fetch_and_add t.credits (-need));
-    Atomic.set t.tail (tail + need);
-    t.prod.enqueued <- t.prod.enqueued + 1;
-    t.prod.enq_bytes <- t.prod.enq_bytes + len;
-    t.prod.was_full <- 0;
-    Sds_notify.Waiter.notify t.rx_waiter;
+    publish t tail ~need ~n:1 ~bytes:len;
     true
   end
-
-type dequeued = { data : Bytes.t; flags : int }
 
 (* Credit return the consumer owes the producer; the transport delivers it by
    calling [return_credits].  Returns 0 until half the ring has been
@@ -538,9 +502,20 @@ let[@sds.hot] return_credits t n =
   ignore (Atomic.fetch_and_add t.credits n);
   Sds_notify.Waiter.notify t.tx_waiter
 
-(* Consumer-side bookkeeping after a message of ring footprint [consumed]
-   (payload [len]) has been copied out. *)
-let[@inline] [@sds.hot] consume t consumed len auto_credit =
+(* ---- dequeue: one prologue, one epilogue ----
+
+   Both dequeue flavours open with [peek_packed] (empty check + header
+   decode) and, once they have copied the body out, close with [consume]. *)
+
+(* Peek the next message without consuming it: packed immediate, [no_msg]
+   when empty or invalid. *)
+let[@sds.hot] peek_packed t = if is_empty t then no_msg else decode_header t t.cons.head
+
+(* Consumer-side bookkeeping once the record behind the packed header [p]
+   has been copied out. *)
+let[@inline] [@sds.hot] consume t p auto_credit =
+  let len = packed_len p in
+  let consumed = record_bytes len in
   Span.note_deq t.span ~seq:t.cons.dequeued;
   t.cons.head <- t.cons.head + consumed;
   t.cons.pending_return <- t.cons.pending_return + consumed;
@@ -554,35 +529,20 @@ let[@inline] [@sds.hot] consume t consumed len auto_credit =
     Sds_notify.Waiter.notify t.tx_waiter
   end
 
-let try_dequeue ?(auto_credit = false) t =
-  if is_empty t then None
-  else
-    match read_header t t.cons.head with
-    | None -> None
-    | Some (len, flags) ->
-      let data = Bytes.create len in
-      blit_out t (t.cons.head + header_bytes) data 0 len;
-      consume t (record_bytes len) len auto_credit;
-      Some { data; flags }
-
 (* The zero-allocation dequeue primitive: copies the next payload straight
    into [dst] and returns the packed [len lor (flags lsl 32)] immediate, or
    [no_msg] (-1) when the ring is empty or the header invalid.  Raises when
    [dst] cannot hold the message (use [peek_packed] to size it). *)
 let[@sds.hot] try_dequeue_packed ?(auto_credit = false) t ~dst ~dst_off =
-  if is_empty t then no_msg
-  else begin
-    let p = decode_header t t.cons.head in
-    if p = no_msg then no_msg
-    else begin
-      let len = packed_len p in
-      if dst_off < 0 || dst_off + len > Bytes.length dst then
-        invalid_arg "Spsc_ring.try_dequeue_into: buffer too small";
-      blit_out t (t.cons.head + header_bytes) dst dst_off len;
-      consume t (record_bytes len) len auto_credit;
-      p
-    end
-  end
+  let p = peek_packed t in
+  if p <> no_msg then begin
+    let len = packed_len p in
+    if dst_off < 0 || dst_off + len > Bytes.length dst then
+      invalid_arg "Spsc_ring.try_dequeue_packed: buffer too small";
+    blit_out t (t.cons.head + header_bytes) dst dst_off len;
+    consume t p auto_credit
+  end;
+  p
 
 (* Dequeue the next record's descriptor vector into [entries] and return
    the packed immediate ([desc_count_packed] gives the entry count), or
@@ -591,52 +551,21 @@ let[@sds.hot] try_dequeue_packed ?(auto_credit = false) t ~dst ~dst_off =
    Raises if the next record is not descriptor-flagged — callers peek the
    flags first ([peek_packed]). *)
 let[@sds.hot] try_dequeue_descs ?(auto_credit = false) t ~entries =
-  if is_empty t then no_msg
-  else begin
-    let p = decode_header t t.cons.head in
-    if p = no_msg then no_msg
-    else begin
-      let len = packed_len p in
-      if packed_flags p land flag_desc = 0 then
-        invalid_arg "Spsc_ring.try_dequeue_descs: next record is not a descriptor (peek first)";
-      let n = len lsr 3 in
-      if n > Array.length entries then
-        invalid_arg "Spsc_ring.try_dequeue_descs: entries buffer too small";
-      for i = 0 to n - 1 do
-        Array.unsafe_set entries i
-          (Int64.to_int
-             (unsafe_get_int64 t.buf ((t.cons.head + header_bytes + (8 * i)) land t.mask)))
-      done;
-      consume t (record_bytes len) len auto_credit;
-      p
-    end
-  end
-
-(* Option-typed convenience over [try_dequeue_packed] (the [Some] box is
-   the only allocation). *)
-let try_dequeue_into ?auto_credit t ~dst ~dst_off =
-  let p = try_dequeue_packed ?auto_credit t ~dst ~dst_off in
-  if p = no_msg then None else Some (packed_len p, packed_flags p)
-
-(* Batched dequeue: up to [max] messages in arrival order.  Stops early on
-   an empty ring or an invalid header. *)
-let dequeue_batch ?(auto_credit = false) t ~max =
-  let rec go acc k =
-    if k = 0 then List.rev acc
-    else
-      match try_dequeue ~auto_credit t with
-      | None -> List.rev acc
-      | Some d -> go (d :: acc) (k - 1)
-  in
-  go [] max
-
-(* Peek the next message without consuming it: packed immediate, [no_msg]
-   when empty or invalid. *)
-let[@sds.hot] peek_packed t = if is_empty t then no_msg else decode_header t t.cons.head
-
-let peek_len t =
   let p = peek_packed t in
-  if p = no_msg then None else Some (packed_len p)
+  if p <> no_msg then begin
+    if not (is_desc_packed p) then
+      invalid_arg "Spsc_ring.try_dequeue_descs: next record is not a descriptor (peek first)";
+    let n = desc_count_packed p in
+    if n > Array.length entries then
+      invalid_arg "Spsc_ring.try_dequeue_descs: entries buffer too small";
+    for i = 0 to n - 1 do
+      Array.unsafe_set entries i
+        (Int64.to_int
+           (unsafe_get_int64 t.buf ((t.cons.head + header_bytes + (8 * i)) land t.mask)))
+    done;
+    consume t p auto_credit
+  end;
+  p
 
 (* ---- blocking operation, via the §4.4 event-notification subsystem ----
 
@@ -658,12 +587,6 @@ let tx_waiter t = t.tx_waiter
 (* Share one waiter across N rings for [Waiter.wait_any]; all producers of
    those rings then notify the shared waiter. *)
 let set_rx_waiter t w = t.rx_waiter <- w
-
-let rec enqueue_blocking ?(flags = 0) t src ~off ~len =
-  if not (try_enqueue ~flags t src ~off ~len) then begin
-    wait_tx t ~len;
-    enqueue_blocking ~flags t src ~off ~len
-  end
 
 (* Blocks while the ring is empty.  A header that fails its checksum (a
    corrupt peer) also reads as "empty", so this parks rather than decoding

@@ -7,8 +7,11 @@
     tail is an atomic whose store publishes the payload-then-header writes
     (release/acquire through the OCaml memory model's SC atomics), and the
     credit counter is an atomic that only the producer decrements and only
-    the consumer increments.  The non-wrapping fast path performs no
-    allocation in either direction ([try_enqueue] / [try_dequeue_into]).
+    the consumer increments.  Enqueue and dequeue perform no allocation in
+    either direction ([try_enqueue] / [try_dequeue_packed]).  All three
+    enqueue flavours end in one internal publication step — credit spend,
+    then the tail store — which is the region the interleaving checker's
+    ring-publication model is extracted from.
 
     Invariant: [credits + pending-return + used = capacity] (counting any
     credit return currently in flight between [take_credit_return] and
@@ -59,19 +62,6 @@ val enqueue_batch : ?flags:int -> t -> (Bytes.t * int * int) array -> int
     spending credits once for the whole batch (§4.2 adaptive batching).
     Returns the number of messages enqueued. *)
 
-type dequeued = { data : Bytes.t; flags : int }
-
-val try_dequeue : ?auto_credit:bool -> t -> dequeued option
-(** [auto_credit] returns credits synchronously (bare in-process queue); the
-    default leaves them pending for the transport to deliver.  Allocates the
-    returned payload; the hot path should prefer [try_dequeue_into]. *)
-
-val try_dequeue_into : ?auto_credit:bool -> t -> dst:Bytes.t -> dst_off:int -> (int * int) option
-(** Dequeue straight into the caller's buffer; returns [Some (len, flags)].
-    Raises [Invalid_argument] when [dst] cannot hold the next message (use
-    [peek_len] to size it).  The [Some] box is the only allocation; the
-    fully allocation-free primitive underneath is [try_dequeue_packed]. *)
-
 val no_msg : int
 (** The [-1] sentinel returned by the packed dequeue/peek primitives. *)
 
@@ -79,7 +69,10 @@ val try_dequeue_packed : ?auto_credit:bool -> t -> dst:Bytes.t -> dst_off:int ->
 (** Zero-allocation dequeue primitive: copies the next payload into [dst]
     and returns the packed immediate [len lor (flags lsl 32)], or [no_msg]
     when the ring is empty / the header fails its checksum.  Decompose with
-    [packed_len] / [packed_flags]. *)
+    [packed_len] / [packed_flags].  [auto_credit] returns credits
+    synchronously (bare in-process queue); the default leaves them pending
+    for the transport to deliver.  Raises [Invalid_argument] when [dst]
+    cannot hold the next message ([peek_packed] sizes it). *)
 
 val packed_len : int -> int
 val packed_flags : int -> int
@@ -88,17 +81,12 @@ val peek_packed : t -> int
 (** Packed peek of the next message without consuming it; [no_msg] when
     empty or invalid. *)
 
-val dequeue_batch : ?auto_credit:bool -> t -> max:int -> dequeued list
-(** Up to [max] messages in arrival order. *)
-
 val take_credit_return : t -> int
 (** Credits the consumer owes; non-zero only once half the ring has been
     consumed (batched credit-return flag). *)
 
 val return_credits : t -> int -> unit
 (** Deliver a credit return to the producer side. *)
-
-val peek_len : t -> int option
 
 (** {1 Page-descriptor records (§4.6 zero-copy handoff)}
 
@@ -159,9 +147,6 @@ val set_rx_waiter : t -> Sds_notify.Waiter.t -> unit
 (** Point N rings at one shared waiter to build a
     {!Sds_notify.Waiter.wait_any} consumer (the per-process epoll-thread
     shape). *)
-
-val enqueue_blocking : ?flags:int -> t -> Bytes.t -> off:int -> len:int -> unit
-(** [try_enqueue] that parks on the tx waiter instead of returning [false]. *)
 
 val dequeue_packed_blocking : ?auto_credit:bool -> t -> dst:Bytes.t -> dst_off:int -> int
 (** [try_dequeue_packed] that parks on the rx waiter while the ring is

@@ -54,9 +54,11 @@ let () =
       R.stamp_send r;
       ignore (R.try_enqueue r payload ~off:0 ~len:64);
       ignore (R.try_dequeue_packed ~auto_credit:true r ~dst ~dst_off:0));
+  (* Contrast row: a fresh payload [Bytes.t] per message. *)
   measure "enq + try_dequeue (alloc)" iters (fun () ->
       ignore (R.try_enqueue r payload ~off:0 ~len:64);
-      ignore (R.try_dequeue ~auto_credit:true r));
+      let data = Bytes.create (R.packed_len (R.peek_packed r)) in
+      ignore (R.try_dequeue_packed ~auto_credit:true r ~dst:data ~dst_off:0));
   let c = Obs.Metrics.counter "probe.counter" in
   measure "Obs.Metrics.add" iters (fun () -> Obs.Metrics.add c 3);
   let h = Obs.Metrics.histogram "probe.hist" in

@@ -37,3 +37,41 @@ let wait_for flag =
 
 let check_bytes msg expected actual =
   Alcotest.(check string) msg (Bytes.to_string expected) (Bytes.to_string actual)
+
+(* Ring conveniences over the packed primitives.  [Spsc_ring] exports only
+   what the data path runs; tests that want an allocated payload, an
+   option, a list or a blocking enqueue build it here from [peek_packed] +
+   [try_dequeue_packed] and [try_enqueue] + [wait_tx]. *)
+module Ring = struct
+  module R = Sds_ring.Spsc_ring
+
+  type msg = { data : Bytes.t; flags : int }
+
+  let peek_len r =
+    let p = R.peek_packed r in
+    if p = R.no_msg then None else Some (R.packed_len p)
+
+  let dequeue_into ?auto_credit r ~dst ~dst_off =
+    let p = R.try_dequeue_packed ?auto_credit r ~dst ~dst_off in
+    if p = R.no_msg then None else Some (R.packed_len p, R.packed_flags p)
+
+  let dequeue ?auto_credit r =
+    match peek_len r with
+    | None -> None
+    | Some len ->
+      let data = Bytes.create len in
+      Option.map (fun (_, flags) -> { data; flags }) (dequeue_into ?auto_credit r ~dst:data ~dst_off:0)
+
+  let rec dequeue_batch ?auto_credit r ~max =
+    if max = 0 then []
+    else
+      match dequeue ?auto_credit r with
+      | None -> []
+      | Some m -> m :: dequeue_batch ?auto_credit r ~max:(max - 1)
+
+  let rec enqueue_blocking ?flags r src ~off ~len =
+    if not (R.try_enqueue ?flags r src ~off ~len) then begin
+      R.wait_tx r ~len;
+      enqueue_blocking ?flags r src ~off ~len
+    end
+end

@@ -372,6 +372,12 @@ let test_mutation_header_late () =
       Alcotest.(check bool) "publishing before the header write trips the assert" true
         (o.assert_failures <> []))
 
+let test_mutation_spend_late () =
+  with_root (fun root ->
+      let o = Interleave.check (mutation ~root "ring-publication-spend-late") in
+      Alcotest.(check bool) "spending credits after the publish overflows the return" true
+        (o.assert_failures <> []))
+
 let test_mutation_no_recheck () =
   with_root (fun root ->
       let o = Interleave.check (mutation ~root "park-notify-no-recheck") in
@@ -682,6 +688,7 @@ let suite =
     Alcotest.test_case "interleave: shipped protocols are clean" `Quick test_models_clean;
     Alcotest.test_case "mutation: unfenced publication races" `Quick test_mutation_unfenced;
     Alcotest.test_case "mutation: late header trips assert" `Quick test_mutation_header_late;
+    Alcotest.test_case "mutation: late credit spend trips assert" `Quick test_mutation_spend_late;
     Alcotest.test_case "mutation: no-recheck loses wakeup" `Quick test_mutation_no_recheck;
     Alcotest.test_case "mutation: early release is use-after-free" `Quick test_mutation_release_early;
     Alcotest.test_case "mutation: unfenced token grant races" `Quick test_mutation_token_unfenced;

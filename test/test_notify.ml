@@ -140,7 +140,7 @@ let stress_pair ~msgs ~ring_size ~payload () =
   for seq = 1 to msgs do
     Bytes.fill src 0 payload 'x';
     Bytes.set_uint8 src (payload - 1) (seq land 0xFF);
-    R.enqueue_blocking r src ~off:0 ~len:payload
+    Helpers.Ring.enqueue_blocking r src ~off:0 ~len:payload
   done;
   let got = Domain.join consumer in
   let expect = ref 0 in
@@ -196,7 +196,7 @@ let test_wait_any_cross_domain () =
     Domain.spawn (fun () ->
         let src = Bytes.make 8 'q' in
         for seq = 0 to (n * per_ring) - 1 do
-          R.enqueue_blocking rings.(seq mod n) src ~off:0 ~len:8
+          Helpers.Ring.enqueue_blocking rings.(seq mod n) src ~off:0 ~len:8
         done)
   in
   let ready i = not (R.is_empty rings.(i)) in

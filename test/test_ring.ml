@@ -3,12 +3,13 @@
    credit conservation and the no-overwrite guarantee. *)
 
 module R = Sds_ring.Spsc_ring
+module H = Helpers.Ring
 
 let enq r s = R.try_enqueue r (Bytes.of_string s) ~off:0 ~len:(String.length s)
 
 let deq r =
-  match R.try_dequeue ~auto_credit:true r with
-  | Some { R.data; _ } -> Some (Bytes.to_string data)
+  match H.dequeue ~auto_credit:true r with
+  | Some { H.data; _ } -> Some (Bytes.to_string data)
   | None -> None
 
 let test_fifo () =
@@ -58,7 +59,7 @@ let test_credit_return_batched () =
   let drained = ref 0 in
   let returned = ref 0 in
   let rec drain () =
-    match R.try_dequeue r with
+    match H.dequeue r with
     | Some _ ->
       incr drained;
       let c = R.take_credit_return r in
@@ -81,15 +82,15 @@ let test_message_too_large () =
 let test_flags_roundtrip () =
   let r = R.create ~size:1024 () in
   ignore (R.try_enqueue ~flags:0x2A r (Bytes.of_string "x") ~off:0 ~len:1);
-  match R.try_dequeue ~auto_credit:true r with
-  | Some { R.flags; _ } -> Alcotest.(check int) "flags" 0x2A flags
+  match H.dequeue ~auto_credit:true r with
+  | Some { H.flags; _ } -> Alcotest.(check int) "flags" 0x2A flags
   | None -> Alcotest.fail "expected message"
 
 let test_peek_len () =
   let r = R.create ~size:1024 () in
-  Alcotest.(check (option int)) "empty peek" None (R.peek_len r);
+  Alcotest.(check (option int)) "empty peek" None (H.peek_len r);
   ignore (enq r "hello");
-  Alcotest.(check (option int)) "peek len" (Some 5) (R.peek_len r);
+  Alcotest.(check (option int)) "peek len" (Some 5) (H.peek_len r);
   ignore (deq r)
 
 (* ---- zero-allocation / batched APIs ---- *)
@@ -99,27 +100,27 @@ let test_dequeue_into () =
   ignore (enq r "hello");
   ignore (R.try_enqueue ~flags:7 r (Bytes.of_string "world!") ~off:0 ~len:6);
   let dst = Bytes.make 16 '.' in
-  (match R.try_dequeue_into ~auto_credit:true r ~dst ~dst_off:2 with
+  (match H.dequeue_into ~auto_credit:true r ~dst ~dst_off:2 with
   | Some (len, flags) ->
     Alcotest.(check int) "len" 5 len;
     Alcotest.(check int) "flags" 0 flags;
     Alcotest.(check string) "copied at offset" "..hello" (Bytes.sub_string dst 0 7)
   | None -> Alcotest.fail "expected message");
-  (match R.try_dequeue_into ~auto_credit:true r ~dst ~dst_off:0 with
+  (match H.dequeue_into ~auto_credit:true r ~dst ~dst_off:0 with
   | Some (len, flags) ->
     Alcotest.(check int) "len 2" 6 len;
     Alcotest.(check int) "flags 2" 7 flags;
     Alcotest.(check string) "content 2" "world!" (Bytes.sub_string dst 0 6)
   | None -> Alcotest.fail "expected second message");
-  Alcotest.(check bool) "drained" true (R.try_dequeue_into r ~dst ~dst_off:0 = None)
+  Alcotest.(check bool) "drained" true (H.dequeue_into r ~dst ~dst_off:0 = None)
 
 let test_dequeue_into_too_small () =
   let r = R.create ~size:1024 () in
   ignore (enq r "a long-ish message");
   let dst = Bytes.create 4 in
   Alcotest.check_raises "small buffer rejected"
-    (Invalid_argument "Spsc_ring.try_dequeue_into: buffer too small") (fun () ->
-      ignore (R.try_dequeue_into r ~dst ~dst_off:0));
+    (Invalid_argument "Spsc_ring.try_dequeue_packed: buffer too small") (fun () ->
+      ignore (H.dequeue_into r ~dst ~dst_off:0));
   (* The message is still there, undamaged. *)
   Alcotest.(check (option string)) "intact after reject" (Some "a long-ish message") (deq r)
 
@@ -131,20 +132,20 @@ let test_enqueue_batch_prefix () =
   Alcotest.(check int) "prefix enqueued" 4 (R.enqueue_batch r srcs);
   Alcotest.(check int) "no credits left" 0 (R.credits r);
   Alcotest.(check int) "batch counted" 4 (R.enqueued r);
-  let out = R.dequeue_batch ~auto_credit:true r ~max:10 in
+  let out = H.dequeue_batch ~auto_credit:true r ~max:10 in
   Alcotest.(check int) "all out" 4 (List.length out);
-  List.iter (fun { R.data; _ } -> Alcotest.(check bytes) "content" m data) out
+  List.iter (fun { H.data; _ } -> Alcotest.(check bytes) "content" m data) out
 
 let test_dequeue_batch_max () =
   let r = R.create ~size:1024 () in
   List.iter (fun s -> ignore (enq r s)) [ "a"; "bb"; "ccc"; "dddd" ];
-  let first = R.dequeue_batch ~auto_credit:true r ~max:3 in
+  let first = H.dequeue_batch ~auto_credit:true r ~max:3 in
   Alcotest.(check (list string)) "first three"
     [ "a"; "bb"; "ccc" ]
-    (List.map (fun { R.data; _ } -> Bytes.to_string data) first);
-  let rest = R.dequeue_batch ~auto_credit:true r ~max:3 in
+    (List.map (fun { H.data; _ } -> Bytes.to_string data) first);
+  let rest = H.dequeue_batch ~auto_credit:true r ~max:3 in
   Alcotest.(check (list string)) "remainder" [ "dddd" ]
-    (List.map (fun { R.data; _ } -> Bytes.to_string data) rest)
+    (List.map (fun { H.data; _ } -> Bytes.to_string data) rest)
 
 (* ---- page-descriptor records (§4.6 zero-copy handoff) ---- *)
 
@@ -245,52 +246,75 @@ let test_corrupt_header_not_decoded () =
     Alcotest.(check bool)
       (Printf.sprintf "corrupt byte %d hides message" i)
       true
-      (R.try_dequeue ~auto_credit:true r = None)
+      (H.dequeue ~auto_credit:true r = None)
   done
 
 (* ---- randomized model-based test with the credit invariant ---- *)
 
-(* Drive the ring with a random enqueue / dequeue / credit-return schedule,
-   mirror it against a reference [Queue], and assert the documented
-   invariant [credits + pending_return + in_flight + used = capacity] after
-   every single step (credit returns taken by the consumer ride "in flight"
-   until the scheduled delivery). *)
+type record = Inline of string | Descs of int list
+
+(* Drive the ring with a random schedule of all three enqueue flavours
+   ([try_enqueue], [enqueue_batch], [try_enqueue_descs]), dequeues and
+   credit returns, mirror it against a reference [Queue], and assert the
+   documented invariant [credits + pending_return + in_flight + used =
+   capacity] after every single step (credit returns taken by the consumer
+   ride "in flight" until the scheduled delivery). *)
 let test_model_invariant () =
   let rng = Random.State.make [| 0xC0FFEE |] in
   let r = R.create ~size:256 () in
-  let model : string Queue.t = Queue.create () in
+  let model : record Queue.t = Queue.create () in
   let in_flight = ref 0 in
   let dst = Bytes.create 256 in
+  let entries = Array.make 4 0 in
+  let payload seed len = String.init len (fun i -> Char.chr ((seed + i) land 0xFF)) in
   let check_invariant step =
     let sum = R.credits r + R.pending_return r + !in_flight + R.used r in
     if sum <> R.capacity r then
       Alcotest.failf "step %d: credits %d + pending %d + in-flight %d + used %d <> capacity %d" step
         (R.credits r) (R.pending_return r) !in_flight (R.used r) (R.capacity r)
   in
+  (* Dequeue through the flavour the next record's kind needs: descriptor
+     records via [try_dequeue_descs], inline ones alternating between the
+     allocating and the into-buffer helpers.  Must match the model exactly. *)
+  let dequeue_one step =
+    let p = R.peek_packed r in
+    let got =
+      if p <> R.no_msg && R.is_desc_packed p then begin
+        let q = R.try_dequeue_descs r ~entries in
+        Some (Descs (Array.to_list (Array.sub entries 0 (R.desc_count_packed q))))
+      end
+      else if Random.State.bool rng then
+        Option.map (fun { H.data; _ } -> Inline (Bytes.to_string data)) (H.dequeue r)
+      else
+        Option.map (fun (len, _) -> Inline (Bytes.sub_string dst 0 len)) (H.dequeue_into r ~dst ~dst_off:0)
+    in
+    match (got, Queue.take_opt model) with
+    | Some g, Some expected -> if g <> expected then Alcotest.failf "step %d: dequeue differs from model" step
+    | None, None -> ()
+    | Some _, None -> Alcotest.fail "ring had message, model empty"
+    | None, Some _ -> Alcotest.fail "model had message, ring empty"
+  in
   for step = 1 to 20_000 do
     (match Random.State.int rng 100 with
-    | n when n < 45 ->
+    | n when n < 25 ->
       (* Enqueue a random-length message (may be refused on no credits). *)
-      let len = Random.State.int rng 90 in
-      let s = String.init len (fun i -> Char.chr ((step + i) land 0xFF)) in
-      if R.try_enqueue r (Bytes.of_string s) ~off:0 ~len then Queue.push s model
-    | n when n < 90 ->
-      (* Dequeue, alternating between the allocating and the into-buffer
-         flavours; contents must match the model exactly. *)
-      if Random.State.bool rng then (
-        match (R.try_dequeue r, Queue.take_opt model) with
-        | Some { R.data; _ }, Some expected ->
-          Alcotest.(check string) "dequeue matches model" expected (Bytes.to_string data)
-        | None, None -> ()
-        | Some _, None -> Alcotest.fail "ring had message, model empty"
-        | None, Some _ -> Alcotest.fail "model had message, ring empty")
-      else (
-        match (R.try_dequeue_into r ~dst ~dst_off:0, Queue.take_opt model) with
-        | Some (len, _), Some expected ->
-          Alcotest.(check string) "dequeue_into matches model" expected (Bytes.sub_string dst 0 len)
-        | None, None -> ()
-        | Some _, None -> Alcotest.fail "ring had message, model empty"
-        | None, Some _ -> Alcotest.fail "model had message, ring empty")
+      let s = payload step (Random.State.int rng 90) in
+      if R.try_enqueue r (Bytes.of_string s) ~off:0 ~len:(String.length s) then
+        Queue.push (Inline s) model
+    | n when n < 35 ->
+      (* Vectored enqueue of 1-4 messages: the accepted prefix joins the model. *)
+      let msgs = List.init (1 + Random.State.int rng 4) (fun k -> payload (step + k) (Random.State.int rng 40)) in
+      let srcs = Array.of_list (List.map (fun s -> (Bytes.of_string s, 0, String.length s)) msgs) in
+      let k = R.enqueue_batch r srcs in
+      List.iteri (fun i s -> if i < k then Queue.push (Inline s) model) msgs
+    | n when n < 45 ->
+      (* One descriptor record of 1-4 entries. *)
+      let d =
+        List.init (1 + Random.State.int rng 4) (fun k ->
+            R.desc_entry ~page:(step + k) ~off:(Random.State.int rng 4096) ~len:(Random.State.int rng 4097))
+      in
+      if R.try_enqueue_descs r (Array.of_list d) ~n:(List.length d) then Queue.push (Descs d) model
+    | n when n < 90 -> dequeue_one step
     | _ ->
       (* Transport tick: pick up a batched credit return and/or deliver. *)
       let c = R.take_credit_return r in
@@ -302,17 +326,10 @@ let test_model_invariant () =
     check_invariant step
   done;
   (* Drain everything and deliver all credits: the ring must end whole. *)
-  let rec drain () =
-    match R.try_dequeue r with
-    | Some { R.data; _ } ->
-      (match Queue.take_opt model with
-      | Some expected -> Alcotest.(check string) "tail drain matches" expected (Bytes.to_string data)
-      | None -> Alcotest.fail "extra message at drain");
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check int) "model drained too" 0 (Queue.length model);
+  while not (Queue.is_empty model) do
+    dequeue_one 0
+  done;
+  Alcotest.(check bool) "ring drained too" true (R.is_empty r);
   let tail_credit = R.take_credit_return r in
   R.return_credits r (!in_flight + tail_credit);
   Alcotest.(check bool) "empty" true (R.is_empty r);
@@ -332,8 +349,8 @@ let prop_fifo_intact =
       in
       let out = ref [] in
       let rec drain () =
-        match R.try_dequeue ~auto_credit:true r with
-        | Some { R.data; _ } ->
+        match H.dequeue ~auto_credit:true r with
+        | Some { H.data; _ } ->
           out := Bytes.to_string data :: !out;
           drain ()
         | None -> ()
@@ -353,7 +370,7 @@ let prop_credit_conservation =
         (fun (is_enq, len) ->
           if is_enq then ignore (R.try_enqueue r (Bytes.create len) ~off:0 ~len)
           else begin
-            ignore (R.try_dequeue r);
+            ignore (H.dequeue r);
             let c = R.take_credit_return r in
             pending := !pending + c
           end)
@@ -362,7 +379,7 @@ let prop_credit_conservation =
       R.return_credits r !pending;
       let leftover = ref 0 in
       let rec drain () =
-        match R.try_dequeue r with
+        match H.dequeue r with
         | Some _ ->
           leftover := !leftover + R.take_credit_return r;
           drain ()
@@ -390,8 +407,8 @@ let prop_model_check =
               Queue.push s model
           end
           else
-            match (R.try_dequeue ~auto_credit:true r, Queue.take_opt model) with
-            | Some { R.data; _ }, Some expected -> if Bytes.to_string data <> expected then ok := false
+            match (H.dequeue ~auto_credit:true r, Queue.take_opt model) with
+            | Some { H.data; _ }, Some expected -> if Bytes.to_string data <> expected then ok := false
             | None, None -> ()
             | Some _, None | None, Some _ -> ok := false)
         ops;
