@@ -45,6 +45,11 @@ let watched =
     ("ringNcore stream x1", 64, 2.0);
     ("ringNcore stream x2", 64, 2.0);
     ("ringNcore stream x4", 64, 2.0);
+    (* At 16 KiB every payload byte crosses the Pagepool staging blits
+       twice (copy-in and copy-out), so these rows guard the bulk copy: a
+       per-byte loop there costs several times the whole message. *)
+    ("ringNcore stream x1", 16384, 2.0);
+    ("ringNcore stream x2", 16384, 2.0);
     ("token takeover p99", 0, 10.0);
   ]
 

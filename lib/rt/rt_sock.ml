@@ -59,6 +59,7 @@ type t = {
   send_tok : Rt_token.t;
   recv_tok : Rt_token.t;
   batch : Batch_ctl.t;
+  pool_w : Waiter.t;  (** paces a sender on a dry pool, token-guarded *)
   stage : int array;  (** send-side descriptor staging, token-guarded *)
   pages : int array;  (** page ids being staged, token-guarded *)
   descs : int array;  (** recv-side descriptor scratch, token-guarded *)
@@ -72,6 +73,13 @@ type t = {
   mutable peer : t option;  (** the other endpoint; set by [pair] *)
   mutable op_slot : int;  (** last slot to operate this end (racy; init owner) *)
 }
+
+(* Polls a sender spends on a dry pool before it naps.  The receiver hands
+   pages back 64 at a time ([Pagepool] spills), about once per 16 messages
+   of 16 KiB, while the records already queued keep it busy for far
+   longer; a sender spinning through that gap only slows the receiver,
+   whose page and ring cache lines it keeps reading. *)
+let pool_spin = 32
 
 (* ---- connection registry (flight recorder / tests) ---- *)
 
@@ -127,6 +135,7 @@ let endpoint ~ring_size ~pool_pages ~owner ~peer_slot ~tx_ring ~tx_pool ~rx_ring
       send_tok = Rt_token.create ~name:"send" ~holder:owner ();
       recv_tok = Rt_token.create ~name:"recv" ~holder:owner ();
       batch = Batch_ctl.create ();
+      pool_w = Waiter.create ~spin:pool_spin ~adaptive:false ();
       stage = Array.make max_desc_per_record 0;
       pages = Array.make max_desc_per_record 0;
       descs = Array.make max_desc_per_record 0;
@@ -215,6 +224,20 @@ let wait_rx_p t =
        ~deadline_ns:(Sds_obs.Span.now () + park_window_ns)
        ~ready:(fun () -> Atomic.get t.dead || not (R.is_empty ring)))
 
+(* The pool has fewer than [npages] pages for [h]: wait for the receiver
+   to release some, within the same bounded window as a credit wait, but
+   with [pool_spin] polls before the naps.  The wait ends early once the
+   tx ring is empty, since no page is in flight then and none will come
+   back (the rest sit in handle caches). *)
+let wait_pool_p t h ~npages =
+  check_poison t;
+  let ring = t.tx.ring in
+  ignore
+    (Waiter.wait_until t.pool_w
+       ~deadline_ns:(Sds_obs.Span.now () + park_window_ns)
+       ~ready:(fun () -> Atomic.get t.dead || Pp.available h >= npages || R.is_empty ring));
+  check_poison t
+
 (* ---- send ---- *)
 
 (* Return the ring's batched credits owed by the consumer side. *)
@@ -223,14 +246,19 @@ let[@inline] return_pending ring =
   if c > 0 then R.return_credits ring c
 
 (* Stage [len] bytes from [buf] into pool pages and enqueue them as one
-   descriptor record.  False when the pool is exhausted (caller falls back
-   to the inline-copy path — the Libra fallback).  Pages are stamped with
-   the sending slot so [reclaim_owner] can find them if we die between
-   allocation and the receiver's adoption. *)
+   descriptor record.  A short pool is waited for first, as a full ring
+   is: a sender that outruns its receiver paces itself on page releases
+   instead of switching to inline copies that queue behind every record
+   still in flight.  False when the pool is still exhausted after the
+   wait (caller falls back to the inline-copy path — the Libra
+   fallback).  Pages are stamped with the sending slot so
+   [reclaim_owner] can find them if we die between allocation and the
+   receiver's adoption. *)
 let send_desc_record t ~dom buf ~off ~len =
   let h = Pp.domain_handle t.tx.pool in
   Pp.set_owner h dom;
   let npages = (len + Pp.page_size - 1) / Pp.page_size in
+  if Pp.available h < npages then wait_pool_p t h ~npages;
   let got = ref 0 in
   let ok = ref true in
   while !ok && !got < npages do

@@ -43,8 +43,10 @@ val pair :
 
 val send : t -> dom:int -> Bytes.t -> off:int -> len:int -> unit
 (** Stream [len] bytes as one token-held operation (blocking on ring
-    credits).  Chunks >= [zc_threshold] take the descriptor path, falling
-    back to inline copies when the pool is exhausted. *)
+    credits).  Chunks >= [zc_threshold] take the descriptor path; on a dry
+    pool the sender waits, bounded, for the receiver's page releases, and
+    falls back to inline copies only if the pool stays dry or no page is
+    in flight. *)
 
 val send_burst : t -> dom:int -> (Bytes.t * int * int) array -> n:int -> unit
 (** Vectored small-message send under one token hold; each ring batch is

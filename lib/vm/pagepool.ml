@@ -341,6 +341,10 @@ let free_pages t =
   done;
   if !n < 0 then 0 else if !n > t.npages then t.npages else !n
 
+(* A sender polls this while it waits for a receiver to give pages back;
+   [free_top] is read without the mutex, which can only make it stale. *)
+let available h = h.top + h.pool.free_top
+
 let occupancy t =
   float_of_int (t.npages - free_pages t) /. float_of_int t.npages
 
@@ -376,9 +380,20 @@ let slice t ~page ~off ~len =
     invalid_arg "Pagepool.slice: bad range";
   Bigarray.Array1.sub t.data ((page * page_size) + off) len
 
-(* Staging blits, bytewise: the stdlib has no Bytes<->Bigarray blit, and
-   these only run on the copy-in/copy-out edges of the remap path (the hot
-   descriptor handoff itself moves no payload bytes). *)
+(* Staging blits: one memcpy each way.  These run on the copy-in/copy-out
+   edges of the remap path (the descriptor handoff itself moves no payload
+   bytes), once per page of every large message, so they must cost a bulk
+   copy, not a per-byte interpreter loop.  Every check — liveness, the
+   in-page range, the Bytes range — runs here in OCaml with its own
+   message; the [noalloc] stubs are reached only after all of them pass. *)
+
+external unsafe_blit_bytes_to_ba : Bytes.t -> int -> buf -> int -> int -> unit
+  = "sds_pagepool_blit_bytes_to_ba"
+[@@noalloc]
+
+external unsafe_blit_ba_to_bytes : Bytes.t -> int -> buf -> int -> int -> unit
+  = "sds_pagepool_blit_ba_to_bytes"
+[@@noalloc]
 
 let[@sds.hot] blit_from_bytes t ~src ~src_off ~page ~off ~len =
   check_live t page "Pagepool.blit_from_bytes";
@@ -386,10 +401,7 @@ let[@sds.hot] blit_from_bytes t ~src ~src_off ~page ~off ~len =
     invalid_arg "Pagepool.blit_from_bytes: bad range";
   if src_off < 0 || src_off + len > Bytes.length src then
     invalid_arg "Pagepool.blit_from_bytes: bad source range";
-  let base = (page * page_size) + off in
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set t.data (base + i) (Bytes.unsafe_get src (src_off + i))
-  done
+  unsafe_blit_bytes_to_ba src src_off t.data ((page * page_size) + off) len
 
 let[@sds.hot] blit_to_bytes t ~page ~off ~dst ~dst_off ~len =
   check_live t page "Pagepool.blit_to_bytes";
@@ -397,31 +409,29 @@ let[@sds.hot] blit_to_bytes t ~page ~off ~dst ~dst_off ~len =
     invalid_arg "Pagepool.blit_to_bytes: bad range";
   if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Pagepool.blit_to_bytes: bad destination range";
-  let base = (page * page_size) + off in
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set dst (dst_off + i) (Bigarray.Array1.unsafe_get t.data (base + i))
-  done
+  unsafe_blit_ba_to_bytes dst dst_off t.data ((page * page_size) + off) len
 
 (* 63-bit int load/store at a byte position, little-endian; used by the
    bench to stamp/checksum page payloads without materialising Bytes.
-   Bit 63 is dropped on the round trip (OCaml ints are 63-bit anyway). *)
+   Bit 63 is dropped on the round trip (OCaml ints are 63-bit anyway).
+   The 64-bit primitives are native-endian, hence the swap on big-endian
+   hosts; both compile to one unboxed load/store (0 minor words). *)
+
+external get64 : buf -> int -> int64 = "%caml_bigstring_get64"
+external set64 : buf -> int -> int64 -> unit = "%caml_bigstring_set64"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
 let[@sds.hot] set_int_le t pos v =
   if pos < 0 || pos + 8 > Bigarray.Array1.dim t.data then
     invalid_arg "Pagepool.set_int_le: out of range";
-  for i = 0 to 7 do
-    Bigarray.Array1.unsafe_set t.data (pos + i)
-      (Char.unsafe_chr ((v asr (8 * i)) land 0xFF))
-  done
+  let w = Int64.of_int v in
+  set64 t.data pos (if Sys.big_endian then bswap64 w else w)
 
 let[@sds.hot] get_int_le t pos =
   if pos < 0 || pos + 8 > Bigarray.Array1.dim t.data then
     invalid_arg "Pagepool.get_int_le: out of range";
-  let v = ref 0 in
-  for i = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code (Bigarray.Array1.unsafe_get t.data (pos + i))
-  done;
-  !v land max_int
+  let w = get64 t.data pos in
+  Int64.to_int (if Sys.big_endian then bswap64 w else w) land max_int
 
 (* ---- shared default pool ---------------------------------------------- *)
 

@@ -103,6 +103,11 @@ val reclaim_owner : t -> owner:int -> int
 val free_pages : t -> int
 (** Approximate lock-free count: global stack plus handle caches. *)
 
+val available : handle -> int
+(** Pages [alloc] on this handle can hand out without failing: its own
+    cache plus the global stack (a racy read of the stack depth, for
+    polling).  Pages parked in other handles' caches do not count. *)
+
 val occupancy : t -> float
 (** Fraction of pages in use, in [0, 1]; the [Copy_policy] pressure signal. *)
 
@@ -117,10 +122,20 @@ val slice : t -> page:int -> off:int -> len:int -> buf
     slice's lifetime.  Raises on a released page or an out-of-page range. *)
 
 val blit_from_bytes : t -> src:Bytes.t -> src_off:int -> page:int -> off:int -> len:int -> unit
+(** Copy [len] bytes of [src] from [src_off] into [page] at [off], as one
+    bulk copy (a [noalloc] C stub, 0 minor words).  Every check runs first,
+    in OCaml, and a failed check writes nothing: a released page raises
+    ["Pagepool.blit_from_bytes: use after release"], a range outside the
+    page ["...: bad range"], a range outside [src] ["...: bad source range"]. *)
+
 val blit_to_bytes : t -> page:int -> off:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
+(** Copy [len] bytes of [page] from [off] into [dst] at [dst_off]; same bulk
+    copy and checks as {!blit_from_bytes}, with ["...: bad destination
+    range"] for a range outside [dst]. *)
 
 val set_int_le : t -> int -> int -> unit
 (** [set_int_le t pos v]: store [v] little-endian at byte [pos] of the
-    pool buffer (63-bit round trip). *)
+    pool buffer (63-bit round trip): byte [pos] holds the low byte on
+    every host. *)
 
 val get_int_le : t -> int -> int

@@ -79,6 +79,21 @@ let () =
   measure "Pagepool.alloc + release" iters (fun () ->
       let p = Pp.alloc ph in
       Pp.release ph p);
+  (* Staging blits of one 16 KiB message: into four pages, then back out.
+     0 here proves the [noalloc] memcpy stubs stay off the GC path. *)
+  let blit_pages = Array.init 4 (fun _ -> Pp.alloc ph) in
+  let msg_in = Bytes.make (4 * Pp.page_size) 'm' in
+  let msg_out = Bytes.create (4 * Pp.page_size) in
+  measure "Pagepool.blit 16 KiB in + out" iters (fun () ->
+      for i = 0 to 3 do
+        Pp.blit_from_bytes pool ~src:msg_in ~src_off:(i * Pp.page_size) ~page:blit_pages.(i) ~off:0
+          ~len:Pp.page_size
+      done;
+      for i = 0 to 3 do
+        Pp.blit_to_bytes pool ~page:blit_pages.(i) ~off:0 ~dst:msg_out ~dst_off:(i * Pp.page_size)
+          ~len:Pp.page_size
+      done);
+  Array.iter (Pp.release ph) blit_pages;
   let send_entries = Array.make 1 0 in
   let entries = Array.make 1 0 in
   measure "desc enq + deq + handoff (obs on)" iters (fun () ->

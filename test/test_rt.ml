@@ -324,6 +324,92 @@ let test_sock_send_burst () =
   done;
   Alcotest.(check int) "burst bytes all received" (n * payload) (Rt_sock.bytes_received b)
 
+(* A sender that outruns its receiver finds the staging pool dry.  It must
+   wait for the receiver's page releases, as it waits for ring credits,
+   rather than switch to inline copies queued behind every record still in
+   flight.  The receiver here is slow on purpose (a busy pause per
+   message), so nearly every send meets a dry pool. *)
+let test_sock_dry_pool_waits () =
+  let dom = Rt_dom.self () in
+  let payload = Rt_sock.zc_threshold in
+  let msgs = 200 in
+  let a, b = Rt_sock.pair ~pool_pages:192 ~a_owner:dom ~b_owner:(-1) () in
+  let fallbacks0 = Obs.Metrics.counter_value "rt.pool_fallbacks" in
+  let descs0 = Obs.Metrics.counter_value "rt.desc_sends" in
+  let receiver =
+    Rt_dom.spawn (fun () ->
+        let d = Rt_dom.self () in
+        let dst = Bytes.create (Rt_sock.max_desc_per_record * 4096) in
+        let total = ref 0 in
+        let rec go () =
+          let n = Rt_sock.recv b ~dom:d dst ~off:0 ~len:(Bytes.length dst) in
+          if n > 0 then begin
+            let until = Sds_obs.Span.monotonic_ns () + 50_000 in
+            while Sds_obs.Span.monotonic_ns () < until do
+              Domain.cpu_relax ()
+            done;
+            total := !total + n;
+            go ()
+          end
+        in
+        go ();
+        !total)
+  in
+  let src = Bytes.make payload 'w' in
+  for _ = 1 to msgs do
+    Rt_sock.send a ~dom src ~off:0 ~len:payload
+  done;
+  Rt_sock.close a ~dom;
+  let total = Domain.join receiver in
+  Alcotest.(check int) "every byte arrived" (msgs * payload) total;
+  let fallbacks = Obs.Metrics.counter_value "rt.pool_fallbacks" - fallbacks0 in
+  let descs = Obs.Metrics.counter_value "rt.desc_sends" - descs0 in
+  (* Each wait is bounded: a receiver stalled past the park window still
+     costs a fallback, so allow a few.  A sender that does not wait falls
+     back about once per ten sends here. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "sends waited for pages (%d fallbacks, %d descriptor sends)" fallbacks descs)
+    true
+    (fallbacks <= 5 && descs + fallbacks = msgs)
+
+(* Pages a receiver releases sit in its domain's handle cache until the
+   cache is full.  With nothing in flight, no release can refill a dry pool,
+   so the sender must fall back to the inline copy at once, not wait out the
+   park window. *)
+let test_sock_dry_pool_idle_ring_falls_back () =
+  let dom = Rt_dom.self () in
+  let payload = Rt_sock.zc_threshold in
+  let pages_per_msg = payload / 4096 in
+  let a, b = Rt_sock.pair ~pool_pages:(2 * pages_per_msg) ~a_owner:dom ~b_owner:(-1) () in
+  let src = Bytes.make payload 'h' in
+  Rt_sock.send a ~dom src ~off:0 ~len:payload;
+  Rt_sock.send a ~dom src ~off:0 ~len:payload;
+  let drainer =
+    Rt_dom.spawn (fun () ->
+        let d = Rt_dom.self () in
+        let dst = Bytes.create (Rt_sock.max_desc_per_record * 4096) in
+        let got = ref 0 in
+        while !got < 2 * payload do
+          got := !got + Rt_sock.recv b ~dom:d dst ~off:0 ~len:(Bytes.length dst)
+        done;
+        Rt_sock.release_tokens b ~dom:d;
+        !got)
+  in
+  Alcotest.(check int) "first two messages drained" (2 * payload) (Domain.join drainer);
+  let fallbacks0 = Obs.Metrics.counter_value "rt.pool_fallbacks" in
+  let timeouts0 = Obs.Metrics.counter_value "notify.wait_timeouts" in
+  Rt_sock.send a ~dom src ~off:0 ~len:payload;
+  Alcotest.(check int) "the third send fell back" 1
+    (Obs.Metrics.counter_value "rt.pool_fallbacks" - fallbacks0);
+  Alcotest.(check int) "without waiting out the park window" 0
+    (Obs.Metrics.counter_value "notify.wait_timeouts" - timeouts0);
+  let dst = Bytes.create Rt_sock.max_inline in
+  let got = ref 0 in
+  while !got < payload do
+    got := !got + Rt_sock.recv b ~dom dst ~off:0 ~len:(Bytes.length dst)
+  done;
+  Alcotest.(check int) "the inline copy arrived" payload !got
+
 (* ---- Rt_monitor / Rt_prefork ---- *)
 
 let test_prefork_echo () =
@@ -502,6 +588,9 @@ let suite =
     Alcotest.test_case "sock: inline loopback + EOF" `Quick test_sock_inline_loopback;
     Alcotest.test_case "sock: descriptor path cross-domain" `Quick test_sock_desc_path;
     Alcotest.test_case "sock: vectored burst send" `Quick test_sock_send_burst;
+    Alcotest.test_case "sock: dry pool waits for page releases" `Quick test_sock_dry_pool_waits;
+    Alcotest.test_case "sock: dry pool with idle ring falls back at once" `Quick
+      test_sock_dry_pool_idle_ring_falls_back;
     Alcotest.test_case "prefork: echo smoke" `Quick test_prefork_echo;
     Alcotest.test_case "prefork: dispatch invariants" `Quick test_prefork_invariants;
     Alcotest.test_case "prefork: zero-copy payloads" `Quick test_prefork_zero_copy;

@@ -210,6 +210,20 @@ let test_pagepool_exhaustion () =
   List.iter (Pagepool.release h) got;
   Alcotest.(check bool) "alloc works again" true (Pagepool.alloc h <> Pagepool.no_page)
 
+(* [available h] counts what [alloc h] can still hand out: the handle's
+   cache and the global stack, but not pages parked in another handle's
+   cache. *)
+let test_pagepool_available () =
+  let t = Pagepool.create ~pages:3 () in
+  let h = Pagepool.handle t and other = Pagepool.handle t in
+  Alcotest.(check int) "all pages on the global stack" 3 (Pagepool.available h);
+  let got = List.init 3 (fun _ -> Pagepool.alloc h) in
+  Alcotest.(check int) "none left" 0 (Pagepool.available h);
+  List.iter (Pagepool.release other) got;
+  Alcotest.(check int) "released into another handle's cache" 0 (Pagepool.available h);
+  Alcotest.(check int) "which that handle can use" 3 (Pagepool.available other);
+  Alcotest.(check int) "and free_pages counts" 3 (Pagepool.free_pages t)
+
 let test_pagepool_spill_refill () =
   (* Drain through one handle, release through another: pages must migrate
      between caches via the global stack without loss or duplication. *)
@@ -230,6 +244,120 @@ let test_pagepool_spill_refill () =
     && Pagepool.alloc hb = Pagepool.no_page);
   Array.iter (Pagepool.release hb) again
 
+(* Differential check of the bulk staging blits against a byte-at-a-time
+   reference.  The pool has three live pages and the blits target the
+   middle one, so both neighbours act as canaries; the whole pool buffer
+   and the whole Bytes are compared against the reference after each
+   blit, which also catches a stray byte on either side of the range. *)
+
+let blit_pool =
+  lazy
+    (let t = Pagepool.create ~pages:3 () in
+     let h = Pagepool.handle t in
+     for _ = 1 to 3 do
+       ignore (Pagepool.alloc h)
+     done;
+     t)
+
+let pool_pattern i = Char.unsafe_chr (((i * 7) + 3) land 0xFF)
+
+(* Paint the whole pool buffer with [pool_pattern]; returns the matching
+   model the caller updates with the reference copy. *)
+let paint_pool t =
+  let buf = Pagepool.buffer t in
+  let model = Bytes.init (Bigarray.Array1.dim buf) pool_pattern in
+  Bytes.iteri (fun i c -> Bigarray.Array1.set buf i c) model;
+  model
+
+let pool_matches t model =
+  let buf = Pagepool.buffer t in
+  let ok = ref true in
+  Bytes.iteri (fun i c -> if Bigarray.Array1.get buf i <> c then ok := false) model;
+  !ok
+
+(* (off, len, bytes_off, bytes_len): len = 0 and a whole page are drawn
+   often, as are ranges flush with the page end and with the Bytes end. *)
+let gen_blit_case =
+  let ps = Pagepool.page_size in
+  QCheck.Gen.(
+    let* len = frequency [ (1, return 0); (1, return ps); (6, int_range 0 ps) ] in
+    let* off = frequency [ (1, return 0); (1, return (ps - len)); (4, int_range 0 (ps - len)) ] in
+    let* boff = frequency [ (1, return 0); (3, int_range 0 64) ] in
+    let* slack = frequency [ (1, return 0); (3, int_range 1 64) ] in
+    return (off, len, boff, boff + len + slack))
+
+let prop_pagepool_blit_differential =
+  QCheck.Test.make ~name:"pagepool bulk blits match a byte-loop reference" ~count:300
+    (QCheck.make
+       ~print:(fun (o, l, bo, bl) ->
+         Printf.sprintf "off=%d len=%d bytes_off=%d bytes_len=%d" o l bo bl)
+       gen_blit_case)
+    (fun (off, len, boff, blen) ->
+      let t = Lazy.force blit_pool in
+      let page = 1 in
+      let base = Pagepool.page_base page + off in
+      let model = paint_pool t in
+      let src = Bytes.init blen (fun i -> Char.unsafe_chr (((i * 13) + 5) land 0xFF)) in
+      Pagepool.blit_from_bytes t ~src ~src_off:boff ~page ~off ~len;
+      for i = 0 to len - 1 do
+        Bytes.set model (base + i) (Bytes.get src (boff + i))
+      done;
+      let into_pool = pool_matches t model in
+      let dst = Bytes.make blen '\xA5' in
+      let expect = Bytes.copy dst in
+      Pagepool.blit_to_bytes t ~page ~off ~dst ~dst_off:boff ~len;
+      for i = 0 to len - 1 do
+        Bytes.set expect (boff + i) (Bytes.get model (base + i))
+      done;
+      into_pool && Bytes.equal dst expect && pool_matches t model)
+
+(* Every rejected blit raises its exact message and writes no byte, into
+   the pool or into the destination Bytes. *)
+let test_pagepool_blit_checks () =
+  let t = Pagepool.create ~pages:2 () in
+  let h = Pagepool.handle t in
+  let p = Pagepool.alloc h in
+  let other = Pagepool.alloc h in
+  let model = paint_pool t in
+  let src = Bytes.make 64 's' in
+  let dst = Bytes.make 64 'd' in
+  let rejects name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) f;
+    Alcotest.(check bool) (name ^ ": pool untouched") true (pool_matches t model);
+    Alcotest.(check string) (name ^ ": dst untouched") (String.make 64 'd') (Bytes.to_string dst)
+  in
+  let from ~src_off ~page ~off ~len () = Pagepool.blit_from_bytes t ~src ~src_off ~page ~off ~len in
+  let into ~dst_off ~page ~off ~len () = Pagepool.blit_to_bytes t ~page ~off ~dst ~dst_off ~len in
+  let ps = Pagepool.page_size in
+  rejects "from: past page end" "Pagepool.blit_from_bytes: bad range"
+    (from ~src_off:0 ~page:p ~off:(ps - 8) ~len:9);
+  rejects "from: negative off" "Pagepool.blit_from_bytes: bad range"
+    (from ~src_off:0 ~page:p ~off:(-1) ~len:8);
+  rejects "from: negative len" "Pagepool.blit_from_bytes: bad range"
+    (from ~src_off:0 ~page:p ~off:0 ~len:(-1));
+  rejects "from: past src end" "Pagepool.blit_from_bytes: bad source range"
+    (from ~src_off:1 ~page:p ~off:0 ~len:64);
+  rejects "from: negative src_off" "Pagepool.blit_from_bytes: bad source range"
+    (from ~src_off:(-1) ~page:p ~off:0 ~len:8);
+  rejects "from: bad page id" "Pagepool.blit_from_bytes" (from ~src_off:0 ~page:2 ~off:0 ~len:8);
+  rejects "into: past page end" "Pagepool.blit_to_bytes: bad range"
+    (into ~dst_off:0 ~page:p ~off:(ps - 8) ~len:9);
+  rejects "into: negative off" "Pagepool.blit_to_bytes: bad range"
+    (into ~dst_off:0 ~page:p ~off:(-1) ~len:8);
+  rejects "into: negative len" "Pagepool.blit_to_bytes: bad range"
+    (into ~dst_off:0 ~page:p ~off:0 ~len:(-1));
+  rejects "into: past dst end" "Pagepool.blit_to_bytes: bad destination range"
+    (into ~dst_off:1 ~page:p ~off:0 ~len:64);
+  rejects "into: negative dst_off" "Pagepool.blit_to_bytes: bad destination range"
+    (into ~dst_off:(-1) ~page:p ~off:0 ~len:8);
+  rejects "into: bad page id" "Pagepool.blit_to_bytes" (into ~dst_off:0 ~page:(-1) ~off:0 ~len:8);
+  Pagepool.release h p;
+  rejects "from: released page" "Pagepool.blit_from_bytes: use after release"
+    (from ~src_off:0 ~page:p ~off:0 ~len:8);
+  rejects "into: released page" "Pagepool.blit_to_bytes: use after release"
+    (into ~dst_off:0 ~page:p ~off:0 ~len:8);
+  Pagepool.release h other
+
 let test_pagepool_int_le_roundtrip () =
   let t = Pagepool.create ~pages:2 () in
   let h = Pagepool.handle t in
@@ -240,6 +368,13 @@ let test_pagepool_int_le_roundtrip () =
       Pagepool.set_int_le t base v;
       Alcotest.(check int) "int round trip" (v land max_int) (Pagepool.get_int_le t base))
     [ 0; 1; 0xDEAD_BEEF; max_int; min_int + 1 ];
+  (* Little-endian on every host: byte 0 holds the low byte. *)
+  Pagepool.set_int_le t base 0x0807_0605_0403_0201;
+  let buf = Pagepool.buffer t in
+  for i = 0 to 7 do
+    Alcotest.(check int) (Printf.sprintf "byte %d" i) (i + 1)
+      (Char.code (Bigarray.Array1.get buf (base + i)))
+  done;
   Pagepool.release h p
 
 let suite =
@@ -262,6 +397,10 @@ let suite =
     Alcotest.test_case "pagepool use after release raises" `Quick test_pagepool_use_after_release;
     Alcotest.test_case "pagepool incref sharing" `Quick test_pagepool_incref_sharing;
     Alcotest.test_case "pagepool exhaustion returns no_page" `Quick test_pagepool_exhaustion;
+    Alcotest.test_case "pagepool available counts only what a handle can take" `Quick
+      test_pagepool_available;
     Alcotest.test_case "pagepool cross-handle spill/refill" `Quick test_pagepool_spill_refill;
     Alcotest.test_case "pagepool little-endian int roundtrip" `Quick test_pagepool_int_le_roundtrip;
+    QCheck_alcotest.to_alcotest prop_pagepool_blit_differential;
+    Alcotest.test_case "pagepool blit checks raise and write nothing" `Quick test_pagepool_blit_checks;
   ]
