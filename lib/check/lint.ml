@@ -37,6 +37,12 @@
                          name must follow the [layer.noun] convention:
                          lowercase dot-separated segments, e.g.
                          ["ring.enqueues"], ["span.wake"].
+   - [dls-key-toplevel]  [Domain.DLS.new_key] only at module top level.
+                         OCaml never reclaims a DLS key, and each domain
+                         keeps its value for as long as the domain lives,
+                         so a key made per object (per pool, per socket)
+                         pins that object in every long-lived domain that
+                         touched it.
    - [fault-confined]    [Sds_fault.inject] call sites may appear only in
                          the allowlisted crash-recovery modules, and inside
                          [@sds.hot] functions only under the zero-cost
@@ -83,6 +89,7 @@ type config = {
   mli_dirs : string list;  (** [.mli] parity enforced here *)
   metric_dirs : string list;  (** scopes of the metric-registration rule *)
   metric_allow : string list;  (** files exempt from it (the registry itself) *)
+  dls_dirs : string list;  (** scopes of the dls-key-toplevel rule *)
   fence_dirs : string list;  (** scopes of the fence-discipline rule *)
   fence_fields : string list;  (** field names owned by the extraction maps *)
   fence_allow : string list;  (** single-domain users of those names *)
@@ -126,6 +133,7 @@ let default =
     mli_dirs = [ "lib" ];
     metric_dirs = [ "lib"; "bin"; "bench" ];
     metric_allow = [ "lib/obs/obs.ml" ];
+    dls_dirs = [ "lib"; "bin"; "bench"; "examples" ];
     fence_dirs = [ "lib/ring"; "lib/notify"; "lib/rt" ];
     fence_fields = [ "tail"; "state"; "seq"; "credits" ];
     (* The allocator's cursors are domain-private by construction; its
@@ -142,6 +150,7 @@ let rule_mli = "mli-parity"
 let rule_hot = "hot-alloc"
 let rule_bigarray = "bigarray-unsafe"
 let rule_metric = "metric-registration"
+let rule_dls = "dls-key-toplevel"
 let rule_fault = "fault-confined"
 let rule_fence = "fence-discipline"
 let rule_parse = "parse-error"
@@ -155,6 +164,7 @@ let all_rules =
     rule_hot;
     rule_bigarray;
     rule_metric;
+    rule_dls;
     rule_fault;
     rule_fence;
     rule_parse;
@@ -203,6 +213,7 @@ let lint_source ~config ~path ~source =
   let check_compare = in_any path config.compare_dirs in
   let check_struct_eq = in_any path config.data_path_dirs in
   let check_metric = in_any path config.metric_dirs && not (is_allowed path config.metric_allow) in
+  let check_dls = in_any path config.dls_dirs in
   let check_fault = in_any path config.fault_dirs in
   let fault_allowed = is_allowed path config.fault_allow in
   let check_fence = in_any path config.fence_dirs && not (is_allowed path config.fence_allow) in
@@ -270,6 +281,15 @@ let lint_source ~config ~path ~source =
     | Some "List" when !hot > 0 && !cold = 0 ->
       add ~loc rule_hot "List.* combinators allocate inside an [@sds.hot] function"
     | _ -> ());
+    (if check_dls && !fun_depth > 0 then
+       match List.rev (Longident.flatten lid) with
+       | "new_key" :: "DLS" :: _ ->
+         add ~loc rule_dls
+           "Domain.DLS.new_key inside a function; OCaml never reclaims a DLS key and every \
+            domain keeps its value for life, so a key made per object pins that object — \
+            create the key once at module top level, or keep the per-object state in the \
+            object"
+       | _ -> ());
     if check_compare && is_bare "compare" lid then
       add ~loc rule_compare
         "polymorphic compare; use a monomorphic comparator (Int.compare, Float.compare, \

@@ -17,6 +17,9 @@
       only at module top level (never inside a function, least of all an
       [@sds.hot] one), with literal names following the lowercase
       dot-separated [layer.noun] convention.
+    - ["dls-key-toplevel"]: [Domain.DLS.new_key] only at module top level;
+      a key is never reclaimed, so one made per object pins that object in
+      every domain that used it.
     - ["fault-confined"]: [Sds_fault.inject] call sites only in the
       allowlisted crash-recovery modules, and inside [@sds.hot] functions
       only under the [if Sds_fault.armed () then ...] zero-cost gate.
@@ -50,6 +53,7 @@ type config = {
   mli_dirs : string list;
   metric_dirs : string list;
   metric_allow : string list;
+  dls_dirs : string list;
   fence_dirs : string list;
   fence_fields : string list;
   fence_allow : string list;

@@ -25,7 +25,8 @@
    - [head] and the consumer-side counters are consumer-private; the
      producer never reads them (flow control is purely credit-based).
      Producer-private and consumer-private mutable state live in separate
-     heap blocks padded to a cache line so the two domains do not false-share.
+     heap blocks padded with dummy fields to more than a cache line, so at
+     most the end of one and the start of the other share a line.
 
    The header checksum guards against torn or corrupt headers (e.g. a
    misbehaving peer scribbling on shared memory): it folds all 32 bits of
@@ -107,7 +108,12 @@ type t = {
      edge as the payload. *)
   span : Sds_obs.Span.track;
   (* Spacer blocks allocated between the two atomics at [create] time, kept
-     live here so the atomics stay on distinct cache lines. *)
+     live here.  They keep the atomics on distinct cache lines only while
+     the ring is in the minor heap: a minor collection moves the one-field
+     atomics into the same major-heap size class, where they land 16 bytes
+     apart.  A connection whose traffic allocates nothing can keep its
+     ring young for most of its life: without the spacers, sockbench
+     rpc-64 ran ~6 % fewer ops/s on a 2-vCPU VM (OCaml 5.1). *)
   _pad0 : int array;
   _pad1 : int array;
 }

@@ -51,7 +51,11 @@ let m_desc_sends = Obs.Metrics.counter "rt.desc_sends"
 let m_pool_fallbacks = Obs.Metrics.counter "rt.pool_fallbacks"
 let m_poisoned = Obs.Metrics.counter "rt.poisoned"
 
-type dir = { ring : R.t; pool : Pp.t }
+(* One direction of an endpoint.  [handle] is this endpoint's own page
+   cache on [pool]: the send token guards the tx one, the recv token the rx
+   one, like the scratch arrays below.  Owned by the endpoint rather than
+   by a domain, it dies with the connection and takes the pool with it. *)
+type dir = { ring : R.t; pool : Pp.t; handle : Pp.handle }
 
 type t = {
   tx : dir;
@@ -130,8 +134,8 @@ let endpoint ~ring_size ~pool_pages ~owner ~peer_slot ~tx_ring ~tx_pool ~rx_ring
   incr cid_counter;
   let t =
     {
-      tx = { ring = tx_ring; pool = tx_pool };
-      rx = { ring = rx_ring; pool = rx_pool };
+      tx = { ring = tx_ring; pool = tx_pool; handle = Pp.handle tx_pool };
+      rx = { ring = rx_ring; pool = rx_pool; handle = Pp.handle rx_pool };
       send_tok = Rt_token.create ~name:"send" ~holder:owner ();
       recv_tok = Rt_token.create ~name:"recv" ~holder:owner ();
       batch = Batch_ctl.create ();
@@ -255,7 +259,7 @@ let[@inline] return_pending ring =
    [reclaim_owner] can find them if we die between allocation and the
    receiver's adoption. *)
 let send_desc_record t ~dom buf ~off ~len =
-  let h = Pp.domain_handle t.tx.pool in
+  let h = t.tx.handle in
   Pp.set_owner h dom;
   let npages = (len + Pp.page_size - 1) / Pp.page_size in
   if Pp.available h < npages then wait_pool_p t h ~npages;
@@ -387,7 +391,7 @@ let recv_locked t ~dom dst ~off =
         if q = R.no_msg then go ()
         else begin
           let cnt = R.desc_count_packed q in
-          let h = Pp.domain_handle t.rx.pool in
+          let h = t.rx.handle in
           Pp.set_owner h dom;
           (* Adopt every page of the record before touching any payload:
              once adopted, a crash of the sender cannot reclaim it out

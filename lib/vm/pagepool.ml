@@ -8,13 +8,19 @@
    receiver releases it after consuming.  Sharing (e.g. multicast or COW
    views) goes through [incref].
 
-   Refcounts are SC atomics, one cell per page, with keep-alive spacer
-   allocations between neighbours so two pages' refcounts never share a
-   cache line (same padding idiom as the ring's prod/cons records).
+   Refcounts are SC atomics, one cell per page, with no spacers between
+   them.  Spacer blocks would separate the cells only while the pool is in
+   the minor heap (a minor collection packs one-field atomics 16 bytes
+   apart), they cost one block per page, and the 16 KiB stream showed no
+   slowdown without them.
 
-   Allocation is contention-free in steady state: each domain holds a
+   Allocation is contention-free in steady state: each user holds a
    [handle] with a private free-list cache and moves pages to/from the
-   mutex-protected global stack only in batches of [batch]. *)
+   mutex-protected global stack only in batches.  A handle is owned by
+   whatever uses it — an [Rt_sock] endpoint direction, or a domain through
+   [domain_handle] — and every handle is reachable only from its pool, so
+   a pool and its caches die together with the last object that holds the
+   pool. *)
 
 module Obs = Sds_obs.Obs
 
@@ -22,6 +28,13 @@ let page_size = 4096
 let default_pages = 8192
 let batch = 64
 let cache_cap = 2 * batch
+
+(* A handle that has only released pages (the receive side of a stream)
+   spills once it holds a quarter of the pool, so it can never sit on more
+   than the sender can spare; short of [cache_cap] only on small pools.
+   Spills shorter than [min_spill] pages are not worth the mutex. *)
+let min_spill = 8
+let receive_cap npages = min cache_cap (max min_spill (npages / 4))
 
 type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -43,8 +56,10 @@ let reclaiming = -2
 
 type handle = {
   pool : t;
+  dom : int;  (* owning domain's id for [domain_handle]'s handles, else -1 *)
   ids : int array;  (* private free-page cache, a stack *)
   mutable top : int;
+  mutable spill_at : int;  (* [release] spills when [top] reaches this *)
   mutable owner : int;  (* stamped into pages this handle allocates *)
 }
 
@@ -52,17 +67,19 @@ and t = {
   data : buf;
   npages : int;
   rc : int Atomic.t array;
-  _rc_pads : int array array;  (* keep-alive: spacers interleaved at build time *)
   owners : int Atomic.t array;  (* per-page owner stamp; crash reclamation *)
   mu : Mutex.t;
   free : int array;  (* global free stack, guarded by [mu] *)
   mutable free_top : int;
   handles : handle option array;  (* slots, guarded by [mu]; read racily by [occupancy] *)
   mutable nhandles : int;
-  mutable dls : handle Domain.DLS.key option;  (* set once at [create] *)
+  by_domain : handle option array;
+      (* [domain_handle]'s lookup, indexed by domain id modulo its length;
+         written under [mu], read without it *)
 }
 
 let max_handles = 64
+let domain_slots = 16
 
 (* Live-pool registry for the flight recorder (weak, so observability never
    extends a pool's lifetime — same discipline as the ring's registry). *)
@@ -88,67 +105,76 @@ let register_live t =
 let create ?(pages = default_pages) () =
   if pages <= 0 then invalid_arg "Pagepool.create: pages must be positive";
   let data = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (pages * page_size) in
-  let rc = Array.make pages (Atomic.make 0) in
-  let pads = Array.make pages [||] in
-  for i = 0 to pages - 1 do
-    rc.(i) <- Atomic.make 0;
-    (* 7 words of spacer between successive refcount cells *)
-    pads.(i) <- Array.make 7 0
-  done;
-  Obs.Metrics.gauge_add g_pages pages;
-  let owners = Array.make pages (Atomic.make no_owner) in
-  for i = 0 to pages - 1 do
-    owners.(i) <- Atomic.make no_owner
-  done;
+  let rc = Array.init pages (fun _ -> Atomic.make 0) in
+  let owners = Array.init pages (fun _ -> Atomic.make no_owner) in
   let t =
     {
       data;
       npages = pages;
       rc;
-      _rc_pads = pads;
       owners;
       mu = Mutex.create ();
       free = Array.init pages (fun i -> pages - 1 - i);
       free_top = pages;
       handles = Array.make max_handles None;
       nhandles = 0;
-      dls = None;
+      by_domain = Array.make domain_slots None;
     }
   in
   register_live t;
+  (* [pool.pages] counts live pools: a dying pool takes its pages out. *)
+  Obs.Metrics.gauge_add g_pages pages;
+  Gc.finalise_last (fun () -> Obs.Metrics.gauge_add g_pages (-pages)) t;
   t
 
 let pages t = t.npages
 let buffer t = t.data
 let page_base page = page * page_size
 
-let handle t =
-  Mutex.lock t.mu;
-  if t.nhandles >= max_handles then begin
-    Mutex.unlock t.mu;
-    invalid_arg "Pagepool.handle: too many handles"
-  end;
-  let h = { pool = t; ids = Array.make cache_cap 0; top = 0; owner = no_owner } in
+(* Register a fresh handle; the caller holds [t.mu]. *)
+let add_handle t ~dom =
+  if t.nhandles >= max_handles then invalid_arg "Pagepool.handle: too many handles";
+  let h =
+    {
+      pool = t;
+      dom;
+      ids = Array.make cache_cap 0;
+      top = 0;
+      spill_at = receive_cap t.npages;
+      owner = no_owner;
+    }
+  in
   t.handles.(t.nhandles) <- Some h;
   t.nhandles <- t.nhandles + 1;
-  Mutex.unlock t.mu;
   h
 
-(* The calling domain's handle, created on first use.  The sim runs many
-   processes on one domain — they share one handle, which is exactly the
-   single-owner condition (one OS thread). *)
+let handle t = Mutex.protect t.mu (fun () -> add_handle t ~dom:(-1))
+
+(* Miss path of [domain_handle]: find or make the domain's handle under the
+   mutex, then point its lookup slot at it. *)
+let domain_handle_slow t id =
+  Mutex.protect t.mu (fun () ->
+      let rec find i =
+        if i >= t.nhandles then add_handle t ~dom:id
+        else
+          match t.handles.(i) with
+          | Some h when h.dom = id -> h
+          | _ -> find (i + 1)
+      in
+      let h = find 0 in
+      t.by_domain.(id land (domain_slots - 1)) <- Some h;
+      h)
+
+(* The calling domain's handle, created on first use.  Domain ids are never
+   reused, so a handle has one owner for life.  The sim runs many processes
+   on one domain — they share one handle, which is exactly the single-owner
+   condition (one OS thread).  The hit path is one slot load and an id
+   compare; a racy read can only miss, and a miss takes the mutex. *)
 let domain_handle t =
-  match t.dls with
-  | Some key -> Domain.DLS.get key
-  | None ->
-    Mutex.lock t.mu;
-    (match t.dls with
-    | Some _ -> ()
-    | None -> t.dls <- Some (Domain.DLS.new_key (fun () -> handle t)));
-    Mutex.unlock t.mu;
-    (match t.dls with
-    | Some key -> Domain.DLS.get key
-    | None -> assert false)
+  let id = (Domain.self () :> int) in
+  match Array.unsafe_get t.by_domain (id land (domain_slots - 1)) with
+  | Some h when h.dom = id -> h
+  | _ -> domain_handle_slow t id
 
 (* ---- free-list movement ------------------------------------------------ *)
 
@@ -166,11 +192,12 @@ let refill h =
   if k > 0 then Obs.Metrics.incr m_refills;
   k
 
-(* Push [batch] pages back to the global stack; cold path. *)
+(* Push up to [batch] pages back to the global stack; cold path. *)
 let spill h =
   let t = h.pool in
+  let k = if h.top < batch then h.top else batch in
   Mutex.lock t.mu;
-  for _ = 1 to batch do
+  for _ = 1 to k do
     h.top <- h.top - 1;
     t.free.(t.free_top) <- h.ids.(h.top);
     t.free_top <- t.free_top + 1
@@ -197,6 +224,9 @@ let[@sds.hot] alloc h =
   end
   else begin
     h.top <- h.top - 1;
+    (* A handle that allocates reuses what it caches, so it may keep the
+       full cache (see [receive_cap]). *)
+    h.spill_at <- cache_cap;
     let page = Array.unsafe_get h.ids h.top in
     Atomic.set h.pool.rc.(page) 1;
     (* Owner stamp after rc: the page only matters to a reclaimer once
@@ -224,7 +254,7 @@ let refcount t page =
   Atomic.get t.rc.(page)
 
 (* Drop one reference via a handle; the last release recycles the page into
-   the handle's cache (spilling a batch when the cache is full). *)
+   the handle's cache (spilling a batch when it reaches [spill_at]). *)
 let[@sds.hot] release h page =
   let t = h.pool in
   check_page t page "Pagepool.release: bad page id";
@@ -240,7 +270,7 @@ let[@sds.hot] release h page =
        cache with rc = 0 can never match a dead owner and be pushed to
        the global free stack a second time by [reclaim_owner]. *)
     Atomic.set t.owners.(page) no_owner;
-    if h.top = cache_cap then spill h;
+    if h.top >= h.spill_at then spill h;
     Array.unsafe_set h.ids h.top page;
     h.top <- h.top + 1
   end

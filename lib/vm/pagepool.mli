@@ -1,5 +1,5 @@
 (** Real shared page pool (§4.6): a Bigarray both endpoints of a channel
-    address directly, carved into 4 KiB pages with padded atomic refcounts.
+    address directly, carved into 4 KiB pages with one atomic refcount each.
     Large payloads cross the ring as page descriptors (ownership handoff)
     instead of being blitted.
 
@@ -11,6 +11,10 @@
       to keep a longer-lived view);
     - the last release recycles the page into the releasing handle's local
       free-list cache (batched spill to the shared stack).
+
+    A pool lives as long as something holds it: handles are reachable only
+    from their pool, so dropping the last holder frees the pool, its
+    caches and its buffer together.
 
     Double release and use-after-release raise [Invalid_argument]. *)
 
@@ -27,23 +31,34 @@ val batch : int
 
 val create : ?pages:int -> unit -> t
 val pages : t -> int
+(** Pages in the pool.  The [pool.pages] gauge sums this over live pools:
+    a pool adds its pages at [create] and takes them out when collected. *)
 
 val shared : unit -> t
 (** Process-wide default pool (lazily created with [default_pages] pages);
     used by [Shm_chan] unless a channel is given its own. *)
 
-(** {1 Per-domain allocation handles} *)
+(** {1 Allocation handles} *)
 
 type handle
-(** A private free-list cache; single-owner, one per domain (or per sim
-    process).  Allocation and release through a handle touch the shared
-    stack only in batches of [batch]. *)
+(** A private free-list cache with a single owner at any time.
+    Allocation and release through a handle touch the shared stack only
+    in batches of up to [batch] pages.  A handle that has only released
+    pages (a receiver's) spills once it holds a quarter of the pool (at
+    least 8 pages, at most [2 * batch]), so it cannot keep the pages a
+    sender needs; once it allocates, it caches up to [2 * batch].  At most
+    64 handles per pool. *)
 
 val handle : t -> handle
+(** A new handle, owned by the caller.  An [Rt_sock] endpoint makes one
+    per direction and guards each with that direction's token. *)
 
 val domain_handle : t -> handle
-(** The calling domain's handle (Domain.DLS), created on first use — the
-    normal way the data path gets one. *)
+(** The calling domain's handle on this pool, created on first use; the
+    same handle on every call from one domain.  It is for callers that
+    have no object to own a handle, such as the simulator, whose
+    processes all run on one domain.  The pool keeps it (no [Domain.DLS]
+    key), so it never outlives the pool. *)
 
 val no_page : int
 (** [-1]: returned by [alloc] on pool exhaustion. *)

@@ -75,3 +75,11 @@ module Ring = struct
       enqueue_blocking ?flags r src ~off ~len
     end
 end
+
+(* Pages of every live [Pagepool], read from the [pool.pages] gauge after
+   two full major collections, so pools that just became unreachable have
+   been finalised and left the count. *)
+let live_pool_pages () =
+  Gc.full_major ();
+  Gc.full_major ();
+  Sds_obs.Obs.Metrics.gauge_value (Sds_obs.Obs.Metrics.gauge "pool.pages")

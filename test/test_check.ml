@@ -153,6 +153,32 @@ let test_metric_rule () =
   check_rules "suppression works here too" ~path:"lib/core/x.ml"
     "let f () = (Obs.Metrics.counter \"x\" [@sds.allow \"metric-registration\"])" []
 
+(* ---- dls-key-toplevel ---- *)
+
+let test_dls_rule () =
+  Alcotest.(check bool) "dls-key-toplevel is a registered rule" true
+    (List.mem "dls-key-toplevel" Lint.all_rules);
+  check_rules "a key made at module top level passes" ~path:"lib/rt/x.ml"
+    "let slot_key = Domain.DLS.new_key (fun () -> -1)" [];
+  check_rules "a top-level let () = block is top level" ~path:"lib/core/x.ml"
+    "let () = ignore (Domain.DLS.new_key (fun () -> 0))" [];
+  check_rules "a key made per object is flagged" ~path:"lib/vm/x.ml"
+    "let create () = { cache = Domain.DLS.new_key (fun () -> [||]) }" [ "dls-key-toplevel" ];
+  check_rules "a key made lazily inside a function is flagged" ~path:"lib/vm/x.ml"
+    "let get t = match t.key with Some k -> k | None -> let k = Domain.DLS.new_key init in \
+     t.key <- Some k; k"
+    [ "dls-key-toplevel" ];
+  check_rules "a DLS alias or opened Domain is recognized" ~path:"bench/x.ml"
+    "let f () = DLS.new_key (fun () -> 0)" [ "dls-key-toplevel" ];
+  check_rules "a Stdlib prefix is recognized" ~path:"bin/x.ml"
+    "let f () = Stdlib.Domain.DLS.new_key (fun () -> 0)" [ "dls-key-toplevel" ];
+  check_rules "get/set inside functions are fine" ~path:"lib/rt/x.ml"
+    "let f () = Domain.DLS.set k (Domain.DLS.get k + 1)" [];
+  check_rules "tests may make keys ad hoc" ~path:"test/t.ml"
+    "let f () = Domain.DLS.new_key (fun () -> 0)" [];
+  check_rules "suppression works here too" ~path:"lib/vm/x.ml"
+    "let f () = (Domain.DLS.new_key (fun () -> 0) [@sds.allow \"dls-key-toplevel\"])" []
+
 (* ---- fault-confined ---- *)
 
 let test_fault_rule () =
@@ -678,6 +704,7 @@ let suite =
     Alcotest.test_case "lint: hot-alloc" `Quick test_hot_rule;
     Alcotest.test_case "lint: bigarray-unsafe" `Quick test_bigarray_rule;
     Alcotest.test_case "lint: metric-registration" `Quick test_metric_rule;
+    Alcotest.test_case "lint: dls-key-toplevel" `Quick test_dls_rule;
     Alcotest.test_case "lint: fault-confined" `Quick test_fault_rule;
     Alcotest.test_case "lint: fence-discipline" `Quick test_fence_rule;
     Alcotest.test_case "lint: github annotation format" `Quick test_github_format;

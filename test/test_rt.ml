@@ -372,10 +372,10 @@ let test_sock_dry_pool_waits () =
     true
     (fallbacks <= 5 && descs + fallbacks = msgs)
 
-(* Pages a receiver releases sit in its domain's handle cache until the
-   cache is full.  With nothing in flight, no release can refill a dry pool,
-   so the sender must fall back to the inline copy at once, not wait out the
-   park window. *)
+(* Pages a receiver releases sit in its handle cache until it spills, and
+   a receiver spills no fewer than 8 pages at a time.  With nothing in
+   flight, no release can refill a dry pool, so the sender must fall back
+   to the inline copy at once, not wait out the park window. *)
 let test_sock_dry_pool_idle_ring_falls_back () =
   let dom = Rt_dom.self () in
   let payload = Rt_sock.zc_threshold in
@@ -409,6 +409,77 @@ let test_sock_dry_pool_idle_ring_falls_back () =
     got := !got + Rt_sock.recv b ~dom dst ~off:0 ~len:(Bytes.length dst)
   done;
   Alcotest.(check int) "the inline copy arrived" payload !got
+
+(* A receiver that only releases pages must hand them back before it holds
+   what the sender needs.  On a pool of 64 or 128 pages, a receiver cache
+   that filled to 128 before spilling absorbed every page and sent nearly
+   every 16 KiB message down the inline fallback. *)
+let test_sock_small_pool_keeps_desc_path () =
+  let dom = Rt_dom.self () in
+  let payload = Rt_sock.zc_threshold in
+  let msgs = 2000 in
+  List.iter
+    (fun pool_pages ->
+      let a, b = Rt_sock.pair ~pool_pages ~a_owner:dom ~b_owner:(-1) () in
+      let fallbacks0 = Obs.Metrics.counter_value "rt.pool_fallbacks" in
+      let descs0 = Obs.Metrics.counter_value "rt.desc_sends" in
+      let receiver =
+        Rt_dom.spawn (fun () ->
+            let d = Rt_dom.self () in
+            let dst = Bytes.create (Rt_sock.max_desc_per_record * 4096) in
+            let total = ref 0 in
+            let rec go () =
+              let n = Rt_sock.recv b ~dom:d dst ~off:0 ~len:(Bytes.length dst) in
+              if n > 0 then begin
+                total := !total + n;
+                go ()
+              end
+            in
+            go ();
+            !total)
+      in
+      let src = Bytes.make payload 's' in
+      for _ = 1 to msgs do
+        Rt_sock.send a ~dom src ~off:0 ~len:payload
+      done;
+      Rt_sock.close a ~dom;
+      Alcotest.(check int) "every byte arrived" (msgs * payload) (Domain.join receiver);
+      let fallbacks = Obs.Metrics.counter_value "rt.pool_fallbacks" - fallbacks0 in
+      let descs = Obs.Metrics.counter_value "rt.desc_sends" - descs0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d pages: %d descriptor sends, %d inline fallbacks" pool_pages descs
+           fallbacks)
+        true
+        (descs + fallbacks = msgs && fallbacks * 20 <= msgs))
+    [ 64; 128 ]
+
+(* A long-lived domain (this one) that streams through a connection must
+   not keep its pools alive after the connection is closed and dropped. *)
+let[@inline never] stream_over_fresh_pairs ~dom n =
+  let payload = Rt_sock.zc_threshold in
+  let src = Bytes.make payload 'p' in
+  let dst = Bytes.create (Rt_sock.max_desc_per_record * 4096) in
+  for _ = 1 to n do
+    let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+    for _ = 1 to 4 do
+      Rt_sock.send a ~dom src ~off:0 ~len:payload;
+      ignore (Rt_sock.recv b ~dom dst ~off:0 ~len:(Bytes.length dst));
+      Rt_sock.send b ~dom src ~off:0 ~len:payload;
+      ignore (Rt_sock.recv a ~dom dst ~off:0 ~len:(Bytes.length dst))
+    done;
+    Rt_sock.close a ~dom;
+    Rt_sock.close b ~dom
+  done
+
+let test_sock_dropped_pairs_free_pools () =
+  let dom = Rt_dom.self () in
+  let descs0 = Obs.Metrics.counter_value "rt.desc_sends" in
+  let before = Helpers.live_pool_pages () in
+  stream_over_fresh_pairs ~dom 8;
+  Alcotest.(check int) "both directions used the descriptor path" 64
+    (Obs.Metrics.counter_value "rt.desc_sends" - descs0);
+  Alcotest.(check int) "no pool of a dropped pair is still live" before
+    (Helpers.live_pool_pages ())
 
 (* ---- Rt_monitor / Rt_prefork ---- *)
 
@@ -591,6 +662,10 @@ let suite =
     Alcotest.test_case "sock: dry pool waits for page releases" `Quick test_sock_dry_pool_waits;
     Alcotest.test_case "sock: dry pool with idle ring falls back at once" `Quick
       test_sock_dry_pool_idle_ring_falls_back;
+    Alcotest.test_case "sock: small pool keeps the descriptor path" `Quick
+      test_sock_small_pool_keeps_desc_path;
+    Alcotest.test_case "sock: dropped pairs free their pools" `Quick
+      test_sock_dropped_pairs_free_pools;
     Alcotest.test_case "prefork: echo smoke" `Quick test_prefork_echo;
     Alcotest.test_case "prefork: dispatch invariants" `Quick test_prefork_invariants;
     Alcotest.test_case "prefork: zero-copy payloads" `Quick test_prefork_zero_copy;

@@ -244,6 +244,69 @@ let test_pagepool_spill_refill () =
     && Pagepool.alloc hb = Pagepool.no_page);
   Array.iter (Pagepool.release hb) again
 
+(* A handle that has only ever released pages spills once it holds a
+   quarter of a small pool, so a receiver cannot sit on the pages a sender
+   needs; once it allocates, it keeps the full cache. *)
+let test_pagepool_receive_only_spills () =
+  let pages = 64 in
+  let t = Pagepool.create ~pages () in
+  let sender = Pagepool.handle t and receiver = Pagepool.handle t in
+  let all = Array.init pages (fun _ -> Pagepool.alloc sender) in
+  Array.iter (Pagepool.release receiver) all;
+  Alcotest.(check bool)
+    (Printf.sprintf "the receiver kept at most a quarter (sender can take %d)"
+       (Pagepool.available sender))
+    true
+    (Pagepool.available sender >= pages - (pages / 4));
+  Alcotest.(check int) "nothing lost" pages (Pagepool.free_pages t);
+  (* The receiver now allocates everything and frees it back: it is a
+     sending handle and may cache up to 128 pages again. *)
+  let again = Array.init pages (fun _ -> Pagepool.alloc receiver) in
+  Array.iter (Pagepool.release receiver) again;
+  Alcotest.(check int) "an allocating handle keeps its pages" 0 (Pagepool.available sender)
+
+(* [domain_handle] is one handle per (pool, domain): the same one on every
+   call in a domain, a different one in another domain. *)
+let test_pagepool_domain_handle_identity () =
+  let t = Pagepool.create ~pages:8 () in
+  let mine = Pagepool.domain_handle t in
+  Alcotest.(check bool) "repeat calls return the same handle" true
+    (mine == Pagepool.domain_handle t);
+  let other_same, other =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let h = Pagepool.domain_handle t in
+           (h == Pagepool.domain_handle t, h)))
+  in
+  Alcotest.(check bool) "stable inside the other domain too" true other_same;
+  Alcotest.(check bool) "another domain gets its own handle" true (not (mine == other));
+  Alcotest.(check bool) "and ours is unchanged" true (mine == Pagepool.domain_handle t)
+
+(* A long-lived domain that allocated through [domain_handle] must not keep
+   the pool alive: once the pools are dropped, their pages leave the
+   [pool.pages] gauge. *)
+let[@inline never] use_pools_through_domain_handles n =
+  for _ = 1 to n do
+    let t = Pagepool.create ~pages:512 () in
+    let h = Pagepool.domain_handle t in
+    let p = Pagepool.alloc h in
+    Pagepool.blit_from_bytes t ~src:(Bytes.make 16 'd') ~src_off:0 ~page:p ~off:0 ~len:16;
+    Pagepool.release h p
+  done
+
+let test_pagepool_domain_handle_no_pin () =
+  let before = Helpers.live_pool_pages () in
+  use_pools_through_domain_handles 8;
+  Alcotest.(check int) "no dropped pool is still live" before (Helpers.live_pool_pages ())
+
+(* [pool.pages] counts the pages of live pools only. *)
+let test_pagepool_pages_gauge () =
+  let before = Helpers.live_pool_pages () in
+  let t = Pagepool.create ~pages:100 () in
+  Alcotest.(check int) "a new pool adds its pages" (before + 100) (Helpers.live_pool_pages ());
+  ignore (Sys.opaque_identity t);
+  Alcotest.(check int) "a dead pool takes them out" before (Helpers.live_pool_pages ())
+
 (* Differential check of the bulk staging blits against a byte-at-a-time
    reference.  The pool has three live pages and the blits target the
    middle one, so both neighbours act as canaries; the whole pool buffer
@@ -400,6 +463,13 @@ let suite =
     Alcotest.test_case "pagepool available counts only what a handle can take" `Quick
       test_pagepool_available;
     Alcotest.test_case "pagepool cross-handle spill/refill" `Quick test_pagepool_spill_refill;
+    Alcotest.test_case "pagepool receive-only handle spills early on a small pool" `Quick
+      test_pagepool_receive_only_spills;
+    Alcotest.test_case "pagepool domain_handle is one handle per domain" `Quick
+      test_pagepool_domain_handle_identity;
+    Alcotest.test_case "pagepool domain_handle does not pin the pool" `Quick
+      test_pagepool_domain_handle_no_pin;
+    Alcotest.test_case "pagepool pool.pages counts live pools" `Quick test_pagepool_pages_gauge;
     Alcotest.test_case "pagepool little-endian int roundtrip" `Quick test_pagepool_int_le_roundtrip;
     QCheck_alcotest.to_alcotest prop_pagepool_blit_differential;
     Alcotest.test_case "pagepool blit checks raise and write nothing" `Quick test_pagepool_blit_checks;
