@@ -61,24 +61,21 @@ let run_cmd =
    zero-copy page remapping). *)
 let stats_workload () =
   let w = Common.make_world () in
-  Sds_sim.Engine.install_trace_clock w.Common.engine;
-  Sds_sim.Engine.install_span_clock w.Common.engine;
+  Sds_sim.Engine.install_clock w.Common.engine;
   let h = Common.add_host w in
   ignore
     (Common.pingpong
        (module Sds_apps.Sock_api.Sds)
        w ~client_host:h ~server_host:h ~size:64 ~rounds:512 ~warmup:32);
   let w1 = Common.make_world () in
-  Sds_sim.Engine.install_trace_clock w1.Common.engine;
-  Sds_sim.Engine.install_span_clock w1.Common.engine;
+  Sds_sim.Engine.install_clock w1.Common.engine;
   let h1 = Common.add_host w1 in
   ignore
     (Common.pingpong
        (module Sds_apps.Sock_api.Sds)
        w1 ~client_host:h1 ~server_host:h1 ~size:32768 ~rounds:64 ~warmup:8);
   let w2 = Common.make_world () in
-  Sds_sim.Engine.install_trace_clock w2.Common.engine;
-  Sds_sim.Engine.install_span_clock w2.Common.engine;
+  Sds_sim.Engine.install_clock w2.Common.engine;
   let a = Common.add_host w2 in
   let b = Common.add_host w2 in
   ignore
@@ -126,16 +123,14 @@ let stats_cmd =
 
 let top_frame_workload () =
   let w = Common.make_world () in
-  Sds_sim.Engine.install_trace_clock w.Common.engine;
-  Sds_sim.Engine.install_span_clock w.Common.engine;
+  Sds_sim.Engine.install_clock w.Common.engine;
   let h = Common.add_host w in
   ignore
     (Common.pingpong
        (module Sds_apps.Sock_api.Sds)
        w ~client_host:h ~server_host:h ~size:64 ~rounds:256 ~warmup:16);
   let w1 = Common.make_world () in
-  Sds_sim.Engine.install_trace_clock w1.Common.engine;
-  Sds_sim.Engine.install_span_clock w1.Common.engine;
+  Sds_sim.Engine.install_clock w1.Common.engine;
   let h1 = Common.add_host w1 in
   ignore
     (Common.pingpong

@@ -687,7 +687,7 @@ let consume th (s : Sock.t) msg ~dst ~off ~len =
   | Msg.Data ->
     Sds_obs.Span.observe_stages ~seq:msg.Msg.seq ~send:msg.Msg.span_send ~pub:msg.Msg.span_pub
       ~vis:msg.Msg.span_vis ~deq:msg.Msg.span_deq ~parsed:msg.Msg.span_parse
-      ~done_:(Sds_obs.Span.now ()) ~remapped
+      ~done_:(Obs.now ()) ~remapped
   | Msg.Control _ -> ());
   n
 

@@ -107,9 +107,10 @@ let[@sds.hot] [@sds.model "waiter/cancel"] cancel t = Atomic.set t.state 0
 let[@sds.model "waiter/commit"] commit_wait t ticket =
   Obs.Metrics.incr c_parks;
   Obs.Trace.emit Obs.Trace.Park;
-  (* Raw monotonic stamps, never the (possibly simulated) span clock:
+  (* Raw monotonic stamps, never the (possibly simulated) [Obs] clock:
      parking blocks a real thread, so the park→wake edge is wall time by
-     definition.  The same edge feeds [span.wake] and the flight recorder. *)
+     definition.  The same edge feeds [span.wake] and a [Wake_edge] trace
+     record. *)
   let t0 = Sds_obs.Span.monotonic_ns () in
   Mutex.lock t.m;
   while Atomic.get t.seq = ticket do
@@ -193,7 +194,9 @@ let wait t ~ready =
 
    Returns [true] the moment [ready ()] holds, [false] once the deadline
    (a [Span.monotonic_ns] timestamp) passes — counted in
-   [notify.wait_timeouts]. *)
+   [notify.wait_timeouts].  Callers compute the deadline from that raw
+   clock too, never from [Obs.now]: under an installed clock the two
+   disagree, and every wait would expire at once and spin. *)
 let wait_until t ~deadline_ns ~ready =
   if ready () then true
   else begin

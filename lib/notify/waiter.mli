@@ -66,7 +66,10 @@ val wait : t -> ready:(unit -> bool) -> unit
 val wait_until : t -> deadline_ns:int -> ready:(unit -> bool) -> bool
 (** Deadline-bounded [wait]: true the moment [ready ()] holds, false once
     the deadline (a {!Sds_obs.Span.monotonic_ns} timestamp) passes —
-    counted in the [notify.wait_timeouts] metric.  Past the spin phase it
+    counted in the [notify.wait_timeouts] metric.  Compute [deadline_ns]
+    from {!Sds_obs.Span.monotonic_ns}, never from the swappable
+    {!Sds_obs.Obs.now}: with a clock installed the two disagree and every
+    wait would time out at once and spin.  Past the spin phase it
     naps with exponential backoff ([Thread.delay], 50 µs doubling to a
     2 ms cap) instead of committing an unbounded condvar park, so progress
     needs {e no} notify edge — a peer that dies without notifying cannot

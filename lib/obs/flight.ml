@@ -1,105 +1,15 @@
 (* Flight recorder: the last thing the process remembers.
 
-   A per-domain bounded ring of fixed-size span records (no allocation to
-   record: five plain int stores and a cursor bump, same discipline as
-   [Obs.Trace]), plus a registry of cold-path state providers — closures
-   that render a data structure's current state as text (live rings,
-   waiter park flags, pagepool occupancy).  On crash, deadlock or SIGQUIT
-   the recorder renders everything — recent spans, every provider, and the
-   full metrics snapshot — into one postmortem file.
+   The recent past is [Obs.Trace]'s per-domain event rings: trace events,
+   resolved spans and park→wake edges, read without clearing them.  Next
+   to it sits a registry of cold-path state providers — closures that
+   render a data structure's current state as text (live rings, waiter
+   park flags, pagepool occupancy).  On crash, deadlock or SIGQUIT the
+   recorder renders everything — the ring snapshot, every provider, and
+   the full metrics snapshot — into one postmortem file.
 
-   Recording must stay hot-path safe; everything else here (dumping,
-   parsing, the watchdog) is deliberately cold and allocates freely. *)
-
-let smask = Obs.shards - 1
-let[@inline] shard_index () = (Domain.self () :> int) land smask
-
-(* ---- record rings ------------------------------------------------------ *)
-
-(* Record kinds.  A span record carries (seq, send_ns, pub_ns, deq_ns); a
-   wake record carries (park_ns, wake_ns); a mark is a free-form point
-   annotation (code, arg). *)
-let kind_span = 1
-let kind_wake = 2
-let kind_mark = 3
-
-let kind_name = function
-  | 1 -> "span"
-  | 2 -> "wake"
-  | 3 -> "mark"
-  | _ -> "?"
-
-(* 5 ints per record: kind, a, b, c, d. *)
-let words = 5
-let default_capacity = 512
-
-type ring = { mutable pos : int; mutable store : int array; mutable cap : int }
-
-let make_ring cap = { pos = 0; store = Array.make (words * cap) 0; cap }
-let rings = Array.init Obs.shards (fun _ -> make_ring default_capacity)
-
-let on = ref true
-let set_enabled b = on := b
-let enabled () = !on
-
-let set_capacity cap =
-  if cap < 1 then invalid_arg "Obs.Flight.set_capacity";
-  Array.iter
-    (fun r ->
-      r.pos <- 0;
-      r.cap <- cap;
-      r.store <- Array.make (words * cap) 0)
-    rings
-
-let clear () =
-  Array.iter
-    (fun r ->
-      r.pos <- 0;
-      Array.fill r.store 0 (Array.length r.store) 0)
-    rings
-
-let[@inline] record kind a b c d =
-  if !on then begin
-    let r = Array.unsafe_get rings (shard_index ()) in
-    let slot = words * (r.pos mod r.cap) in
-    Array.unsafe_set r.store slot kind;
-    Array.unsafe_set r.store (slot + 1) a;
-    Array.unsafe_set r.store (slot + 2) b;
-    Array.unsafe_set r.store (slot + 3) c;
-    Array.unsafe_set r.store (slot + 4) d;
-    r.pos <- r.pos + 1
-  end
-
-let[@inline] span ~seq ~send ~pub ~deq = record kind_span seq send pub deq
-let[@inline] wake ~parked_ns ~woke_ns = record kind_wake parked_ns woke_ns 0 0
-let[@inline] mark ~code ~arg = record kind_mark code arg 0 0
-
-type rec_ = { domain : int; kind : int; a : int; b : int; c : int; d : int }
-
-(* Non-destructive snapshot, oldest-first per domain.  Reading a ring
-   another domain is still writing is racy by design — the recorder is a
-   best-effort postmortem, and a torn record is one bad line, not UB. *)
-let records () =
-  let out = ref [] in
-  Array.iteri
-    (fun d r ->
-      let n = min r.pos r.cap in
-      let first = r.pos - n in
-      for i = r.pos - 1 downto first do
-        let slot = words * (i mod r.cap) in
-        out :=
-          {
-            domain = d;
-            kind = r.store.(slot);
-            a = r.store.(slot + 1);
-            b = r.store.(slot + 2);
-            c = r.store.(slot + 3);
-            d = r.store.(slot + 4);
-          }
-          :: !out
-      done)
-    rings;
-  !out
+   Nothing here is on a hot path; dumping, parsing and the watchdog
+   allocate freely. *)
 
 (* ---- state providers --------------------------------------------------- *)
 
@@ -146,11 +56,11 @@ let render ~reason () =
   Buffer.add_string b ("reason: " ^ reason ^ "\n");
   Buffer.add_string b "== spans ==\n";
   List.iter
-    (fun r ->
+    (fun (e : Obs.Trace.event) ->
       Buffer.add_string b
-        (Printf.sprintf "domain=%d kind=%s a=%d b=%d c=%d d=%d\n" r.domain (kind_name r.kind)
-           r.a r.b r.c r.d))
-    (records ());
+        (Printf.sprintf "domain=%d kind=%s a=%d b=%d c=%d d=%d\n" e.domain
+           (Obs.Trace.tag_name e.tag) e.arg e.b e.c e.ts))
+    (Obs.Trace.snapshot ());
   let ps = Mutex.lock providers_mu; let p = !providers in Mutex.unlock providers_mu; p in
   List.iter
     (fun (name, fn) ->
@@ -176,7 +86,7 @@ let dump_to_file ?path ~reason () =
   let oc = open_out path in
   output_string oc body;
   close_out oc;
-  let n = List.length (records ()) in
+  let n = List.length (Obs.Trace.snapshot ()) in
   Obs.Trace.emit_n Obs.Trace.Flight_dump n;
   path
 
@@ -184,7 +94,7 @@ let dump_to_file ?path ~reason () =
 
 type dump = {
   d_reason : string;
-  d_spans : rec_ list;
+  d_records : Obs.Trace.event list;
   d_states : (string * string) list;
   d_metrics : string;
 }
@@ -194,7 +104,7 @@ let parse_dump body =
   (match lines with
   | first :: _ when first = dump_schema -> ()
   | _ -> invalid_arg "Obs.Flight.parse_dump: bad header");
-  let reason = ref "" and spans = ref [] and states = ref [] in
+  let reason = ref "" and records = ref [] and states = ref [] in
   let metrics = Buffer.create 256 in
   let section = ref `Head in
   let cur_state = ref "" and cur_buf = Buffer.create 256 in
@@ -202,26 +112,14 @@ let parse_dump body =
     if !section = `State then states := (!cur_state, Buffer.contents cur_buf) :: !states;
     Buffer.clear cur_buf
   in
-  let int_field line key =
-    let pat = key ^ "=" in
-    let plen = String.length pat and n = String.length line in
-    let rec find i =
-      if i + plen > n then None
-      else if String.sub line i plen = pat then begin
-        let stop = ref (i + plen) in
-        while !stop < n && line.[!stop] <> ' ' do Stdlib.incr stop done;
-        int_of_string_opt (String.sub line (i + plen) (!stop - i - plen))
-      end
-      else find (i + 1)
-    in
-    find 0
-  in
+  (* [key=value] where [key] starts the line or follows a space, so "d="
+     does not match the tail of "kind=". *)
   let str_field line key =
     let pat = key ^ "=" in
     let plen = String.length pat and n = String.length line in
     let rec find i =
       if i + plen > n then None
-      else if String.sub line i plen = pat then begin
+      else if (i = 0 || line.[i - 1] = ' ') && String.sub line i plen = pat then begin
         let stop = ref (i + plen) in
         while !stop < n && line.[!stop] <> ' ' do Stdlib.incr stop done;
         Some (String.sub line (i + plen) (!stop - i - plen))
@@ -230,6 +128,7 @@ let parse_dump body =
     in
     find 0
   in
+  let int_field line key = Option.bind (str_field line key) int_of_string_opt in
   List.iter
     (fun line ->
       if line = "== spans ==" then (flush_state (); section := `Spans)
@@ -247,13 +146,11 @@ let parse_dump body =
           if String.length line > 8 && String.sub line 0 8 = "reason: " then
             reason := String.sub line 8 (String.length line - 8)
         | `Spans -> (
-          match (int_field line "domain", str_field line "kind") with
-          | Some domain, Some kname ->
-            let kind =
-              match kname with "span" -> kind_span | "wake" -> kind_wake | "mark" -> kind_mark | _ -> 0
-            in
+          match (int_field line "domain", Option.bind (str_field line "kind") Obs.Trace.tag_of_name) with
+          | Some domain, Some tag ->
             let g k = Option.value ~default:0 (int_field line k) in
-            spans := { domain; kind; a = g "a"; b = g "b"; c = g "c"; d = g "d" } :: !spans
+            records :=
+              { Obs.Trace.ts = g "d"; domain; tag; arg = g "a"; b = g "b"; c = g "c" } :: !records
           | _ -> ())
         | `State -> Buffer.add_string cur_buf (line ^ "\n")
         | `Metrics -> Buffer.add_string metrics (line ^ "\n")
@@ -261,7 +158,7 @@ let parse_dump body =
     lines;
   {
     d_reason = !reason;
-    d_spans = List.rev !spans;
+    d_records = List.rev !records;
     d_states = List.rev !states;
     d_metrics = Buffer.contents metrics;
   }

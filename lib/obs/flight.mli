@@ -1,43 +1,8 @@
-(** Flight recorder: per-domain bounded rings of recent span records plus
-    registered state providers, rendered into a postmortem dump on crash,
-    deadlock (zero-progress watchdog) or SIGQUIT.
-
-    Recording ([span], [wake], [mark]) is hot-path safe — five int stores
-    and a cursor bump, no allocation, no locks.  Everything else is cold. *)
-
-val set_enabled : bool -> unit
-val enabled : unit -> bool
-
-val set_capacity : int -> unit
-(** Resize every per-domain record ring (default 512 records), clearing. *)
-
-val clear : unit -> unit
-
-(** {1 Recording} *)
-
-val span : seq:int -> send:int -> pub:int -> deq:int -> unit
-(** One message's resolved stamps: ring sequence number, send / publish /
-    dequeue timestamps (ns). *)
-
-val wake : parked_ns:int -> woke_ns:int -> unit
-(** A park→wake edge from [Sds_notify]. *)
-
-val mark : code:int -> arg:int -> unit
-(** Free-form point annotation. *)
-
-(** {1 Inspection} *)
-
-val kind_span : int
-
-val kind_wake : int
-
-val kind_mark : int
-
-type rec_ = { domain : int; kind : int; a : int; b : int; c : int; d : int }
-
-val records : unit -> rec_ list
-(** Non-destructive snapshot of every domain's retained records,
-    oldest-first per domain. *)
+(** Flight recorder: a snapshot of {!Obs.Trace}'s per-domain event rings
+    (trace events, resolved spans, park→wake edges) plus registered state
+    providers and the metrics registry, rendered into a postmortem dump on
+    crash, deadlock (zero-progress watchdog) or SIGQUIT.  Recording happens
+    in {!Obs.Trace}; everything here is cold. *)
 
 (** {1 State providers} *)
 
@@ -71,7 +36,9 @@ val dump_to_file : ?path:string -> reason:string -> unit -> string
 
 type dump = {
   d_reason : string;
-  d_spans : rec_ list;
+  d_records : Obs.Trace.event list;
+      (** the ring snapshot's records, oldest first per domain; each dump
+          line is [domain= kind=<tag name> a=arg b= c= d=ts] *)
   d_states : (string * string) list;
   d_metrics : string;
 }

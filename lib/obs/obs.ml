@@ -11,11 +11,13 @@
      the shard, add.  Aggregation (summing shards, extracting percentiles)
      happens only on read.
 
-   - [Trace] keeps one bounded ring of (timestamp, packed tag+arg) int pairs
-     per domain.  Recording is two stores and a cursor bump; the ring wraps,
-     dropping the oldest events, so a runaway emitter can never grow memory.
-     Draining merges the per-domain rings into one time-ordered list and
-     renders it as CSV or Chrome-trace JSON.
+   - [Trace] keeps one bounded ring of fixed-width records per domain:
+     trace events, resolved spans and park→wake edges, each stamped from
+     the one clock ([now]).  Recording a trace event is two stores and a
+     cursor bump; the ring wraps, dropping the oldest records, so a runaway
+     emitter can never grow memory.  Draining merges the per-domain rings
+     into one time-ordered list for Chrome-trace JSON; the flight recorder
+     reads the same rings without clearing them.
 
    Hot paths that truly cannot afford even a sharded add (the SPSC ring at
    tens of millions of ops/s) instead register a [probe]: a closure the
@@ -41,6 +43,17 @@ let[@inline] log2_floor v =
   if !v >= 1 lsl 2 then begin r := !r + 2; v := !v lsr 2 end;
   if !v >= 2 then incr r;
   !r
+
+(* The one clock.  Trace records and span stamps read it; the default is
+   the noalloc CLOCK_MONOTONIC stub, called directly.  The simulator
+   installs its virtual clock (see [Engine.install_clock]) so everything
+   stamped during a sim run is in simulated nanoseconds. *)
+external monotonic_ns : unit -> int = "sds_span_monotonic_ns" [@@noalloc]
+
+let clock : (unit -> int) option ref = ref None
+let[@inline] now () = match !clock with None -> monotonic_ns () | Some f -> f ()
+let set_clock f = clock := Some f
+let reset_clock () = clock := None
 
 module Metrics = struct
   (* One padded slot (a cache line of ints) per shard. *)
@@ -378,8 +391,10 @@ module Trace = struct
     | Park
     | Policy_adapt
     | Flight_dump
+    | Span
+    | Wake_edge
 
-  let tag_count = 16
+  let tag_count = 18
 
   let tag_to_int = function
     | Send -> 0
@@ -398,6 +413,8 @@ module Trace = struct
     | Park -> 13
     | Policy_adapt -> 14
     | Flight_dump -> 15
+    | Span -> 16
+    | Wake_edge -> 17
 
   let tag_of_int = function
     | 0 -> Send
@@ -416,6 +433,8 @@ module Trace = struct
     | 13 -> Park
     | 14 -> Policy_adapt
     | 15 -> Flight_dump
+    | 16 -> Span
+    | 17 -> Wake_edge
     | n -> invalid_arg ("Obs.Trace.tag_of_int: " ^ string_of_int n)
 
   let tag_name = function
@@ -435,6 +454,8 @@ module Trace = struct
     | Park -> "Park"
     | Policy_adapt -> "PolicyAdapt"
     | Flight_dump -> "FlightDump"
+    | Span -> "Span"
+    | Wake_edge -> "WakeEdge"
 
   let tag_of_name n =
     let rec go i = if i >= tag_count then None else begin
@@ -448,33 +469,25 @@ module Trace = struct
   let set_enabled b = on := b
   let enabled () = !on
 
-  (* The trace clock.  Default: a global tick counter, so timestamps order
-     events even with no simulator attached.  The sim engine installs its
-     nanosecond clock via [set_clock] (see [Engine.install_trace_clock]). *)
-  let ticks = ref 0
-  let default_clock () = Stdlib.incr ticks; !ticks
-  let clock = ref default_clock
-  let set_clock f = clock := f
-  let reset_clock () = clock := default_clock
+  (* Per-domain bounded ring of fixed-width records, [words] ints each:
+     timestamp, tag|a<<5, b, c.  Single writer per ring (the domain
+     itself); [pos] counts all records ever written, so [pos - capacity] of
+     them have been overwritten.  A trace event fills the first two words;
+     only [Span] records fill [b] and [c], so readers take them from
+     [Span] slots alone.  [set_capacity] swaps in whole new rings, so a
+     writer that loaded the old one keeps a consistent store and mask. *)
+  let words = 4
 
-  (* Per-domain bounded ring: 2 ints per slot (timestamp, tag|arg<<5).
-     Single writer per ring (the domain itself); [pos] counts all events
-     ever written, so [pos - capacity] of them have been overwritten. *)
-  type ring = { mutable pos : int; mutable store : int array; mutable cap : int }
+  type ring = { mutable pos : int; store : int array; mask : int }
 
-  let default_capacity = 4096
+  let default_capacity = 2048
 
-  let make_ring cap = { pos = 0; store = Array.make (2 * cap) 0; cap }
+  let make_ring cap = { pos = 0; store = Array.make (words * cap) 0; mask = cap - 1 }
   let rings = Array.init shards (fun _ -> make_ring default_capacity)
 
   let set_capacity cap =
-    if cap < 1 then invalid_arg "Obs.Trace.set_capacity";
-    Array.iter
-      (fun r ->
-        r.pos <- 0;
-        r.cap <- cap;
-        r.store <- Array.make (2 * cap) 0)
-      rings
+    if cap < 1 || cap land (cap - 1) <> 0 then invalid_arg "Obs.Trace.set_capacity";
+    Array.iteri (fun i _ -> rings.(i) <- make_ring cap) rings
 
   let clear () =
     Array.iter
@@ -483,59 +496,80 @@ module Trace = struct
         Array.fill r.store 0 (Array.length r.store) 0)
       rings
 
-  (* Record [tag] with an integer argument; two stores and a cursor bump,
-     no allocation.  The argument survives packing for |arg| < 2^57. *)
-  let[@inline] emit_n tag arg =
-    if !on then begin
-      let r = Array.unsafe_get rings (shard_index ()) in
-      let slot = 2 * (r.pos mod r.cap) in
-      Array.unsafe_set r.store slot (!clock ());
-      Array.unsafe_set r.store (slot + 1) (tag_to_int tag lor (arg lsl 5));
-      r.pos <- r.pos + 1
-    end
+  (* Write a record's first two words into the calling domain's ring and
+     bump the cursor: no allocation.  The argument survives packing for
+     |arg| < 2^57. *)
+  let[@inline] put ts tag arg =
+    let r = Array.unsafe_get rings (shard_index ()) in
+    let slot = words * (r.pos land r.mask) in
+    Array.unsafe_set r.store slot ts;
+    Array.unsafe_set r.store (slot + 1) (tag_to_int tag lor (arg lsl 5));
+    r.pos <- r.pos + 1
 
+  let[@inline] emit_n tag arg = if !on then put (now ()) tag arg
   let[@inline] emit tag = emit_n tag 0
 
+  (* A resolved span, stamped at its dequeue time (no extra clock read):
+     the payload words go into the slot [put] then claims. *)
+  let span ~seq ~send ~pub ~deq =
+    if !on then begin
+      let r = Array.unsafe_get rings (shard_index ()) in
+      let slot = words * (r.pos land r.mask) in
+      Array.unsafe_set r.store (slot + 2) send;
+      Array.unsafe_set r.store (slot + 3) pub;
+      put deq Span seq
+    end
+
+  (* A park→wake edge, stamped at the wake, carrying how long it parked. *)
+  let wake ~parked_ns ~woke_ns = if !on then put woke_ns Wake_edge (woke_ns - parked_ns)
+
   let dropped () =
-    Array.fold_left (fun acc r -> acc + max 0 (r.pos - r.cap)) 0 rings
+    Array.fold_left (fun acc r -> acc + max 0 (r.pos - (r.mask + 1))) 0 rings
 
-  type event = { ts : int; domain : int; tag : tag; arg : int }
+  type event = { ts : int; domain : int; tag : tag; arg : int; b : int; c : int }
 
-  (* Snapshot every ring oldest-first, merge by timestamp (stable on ties),
-     and clear.  Allocation is fine here: draining is the cold path. *)
-  let drain () =
+  (* Domain [d]'s retained records, oldest first.  Reading a ring another
+     domain is still writing is racy by design: a torn record is one bad
+     line in a postmortem, never a crash.  Allocation is fine here: reading
+     is the cold path. *)
+  let read_ring d r =
+    let pos = r.pos in
+    let n = min pos (r.mask + 1) in
     let evs = ref [] in
-    Array.iteri
-      (fun d r ->
-        let n = min r.pos r.cap in
-        let first = r.pos - n in
-        for i = first to r.pos - 1 do
-          let slot = 2 * (i mod r.cap) in
-          let packed = r.store.(slot + 1) in
-          evs :=
-            { ts = r.store.(slot); domain = d; tag = tag_of_int (packed land 0x1F); arg = packed asr 5 }
-            :: !evs
-        done;
-        r.pos <- 0)
-      rings;
+    for i = pos - 1 downto pos - n do
+      let slot = words * (i land r.mask) in
+      let packed = r.store.(slot + 1) in
+      let tag = tag_of_int (packed land 0x1F) in
+      let b, c = if tag = Span then (r.store.(slot + 2), r.store.(slot + 3)) else (0, 0) in
+      evs := { ts = r.store.(slot); domain = d; tag; arg = packed asr 5; b; c } :: !evs
+    done;
+    !evs
+
+  let snapshot () = List.concat (List.mapi read_ring (Array.to_list rings))
+
+  (* Read every ring and clear it, then merge by timestamp (stable on
+     ties). *)
+  let drain () =
+    let evs =
+      List.concat
+        (List.mapi
+           (fun d r ->
+             let evs = read_ring d r in
+             r.pos <- 0;
+             evs)
+           (Array.to_list rings))
+    in
     List.stable_sort
       (fun a b ->
         let c = Int.compare a.ts b.ts in
         if c <> 0 then c else Int.compare a.domain b.domain)
-      (List.rev !evs)
+      evs
 
   (* ---- rendering ---- *)
 
-  let to_csv events =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "ts_ns,domain,event,arg\n";
-    List.iter
-      (fun e -> Buffer.add_string b (Printf.sprintf "%d,%d,%s,%d\n" e.ts e.domain (tag_name e.tag) e.arg))
-      events;
-    Buffer.contents b
-
   (* Chrome trace-event format (chrome://tracing, Perfetto): instant events,
-     ts in microseconds with nanosecond resolution kept in the decimals. *)
+     ts in microseconds with nanosecond resolution kept in the decimals; a
+     [Span]'s send and publish stamps ride in args [b] and [c]. *)
   let to_chrome_json events =
     let b = Buffer.create 4096 in
     Buffer.add_string b "{\"traceEvents\":[";
@@ -544,8 +578,9 @@ module Trace = struct
         if i > 0 then Buffer.add_string b ",";
         Buffer.add_string b
           (Printf.sprintf
-             "\n{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"args\":{\"v\":%d}}"
-             (tag_name e.tag) e.domain (float_of_int e.ts /. 1e3) e.arg))
+             "\n{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"args\":{\"v\":%d%s}}"
+             (tag_name e.tag) e.domain (float_of_int e.ts /. 1e3) e.arg
+             (if e.tag = Span then Printf.sprintf ",\"b\":%d,\"c\":%d" e.b e.c else "")))
       events;
     Buffer.add_string b "\n],\"displayTimeUnit\":\"ns\"}\n";
     Buffer.contents b
@@ -641,10 +676,7 @@ module Trace = struct
               | Some us -> int_of_float (Float.round (us *. 1e3))
               | None -> 0
             in
-            let domain =
-              match parse_num_field obj "tid" with Some d -> int_of_float d | None -> 0
-            in
-            let arg = match parse_num_field obj "v" with Some v -> int_of_float v | None -> 0 in
-            Some { ts; domain; tag; arg }))
+            let num k = match parse_num_field obj k with Some v -> int_of_float v | None -> 0 in
+            Some { ts; domain = num "tid"; tag; arg = num "v"; b = num "b"; c = num "c" }))
       (object_chunks body)
 end

@@ -1,5 +1,5 @@
-(** Observability substrate: process-global zero-allocation metrics and
-    per-domain bounded event tracing.
+(** Observability substrate: process-global zero-allocation metrics,
+    per-domain bounded event rings, and the one clock that stamps them.
 
     Hot-path recording never allocates and never locks: counters, gauges and
     histograms are flat [int] arrays sharded per domain (padded against
@@ -11,6 +11,19 @@ val shards : int
 
 val log2_floor : int -> int
 (** [log2_floor v] for [v > 0]; constant time, no allocation. *)
+
+(** {1 The clock} *)
+
+val now : unit -> int
+(** Nanoseconds from the one clock that stamps trace records and spans:
+    CLOCK_MONOTONIC (a noalloc C stub) unless [set_clock] installed
+    another source. *)
+
+val set_clock : (unit -> int) -> unit
+(** Install a monotonic nanosecond source (e.g. the sim engine's clock). *)
+
+val reset_clock : unit -> unit
+(** Back to CLOCK_MONOTONIC. *)
 
 module Metrics : sig
   val set_enabled : bool -> unit
@@ -110,6 +123,10 @@ module Trace : sig
     | Park
     | Policy_adapt  (** [Copy_policy] re-derived its threshold; arg = new threshold *)
     | Flight_dump  (** the flight recorder wrote a dump; arg = records dumped *)
+    | Span
+        (** a resolved span: ts = dequeue, arg = ring seq, b = send, c = publish
+            (see {!span}) *)
+    | Wake_edge  (** a park→wake edge: ts = wake, arg = ns parked (see {!wake}) *)
 
   val tag_name : tag -> string
   val tag_of_name : string -> tag option
@@ -117,33 +134,45 @@ module Trace : sig
   val set_enabled : bool -> unit
   val enabled : unit -> bool
 
-  val set_clock : (unit -> int) -> unit
-  (** Install a monotonic timestamp source (e.g. the sim engine's clock).
-      Default: a global tick counter. *)
-
-  val reset_clock : unit -> unit
-
   val set_capacity : int -> unit
-  (** Resize every per-domain ring to [cap] events, clearing them. *)
+  (** Replace every per-domain ring with one of [cap] records (a power of
+      two; default 2048), clearing them. *)
 
   val clear : unit -> unit
 
   val emit : tag -> unit
-  (** Record an event: two stores and a cursor bump, no allocation. *)
+  (** Record an event at {!now}: two stores and a cursor bump, no
+      allocation. *)
 
   val emit_n : tag -> int -> unit
   (** Record an event with an integer argument (batch size, byte count). *)
 
-  val dropped : unit -> int
-  (** Events overwritten by ring wraparound since the last drain. *)
+  val span : seq:int -> send:int -> pub:int -> deq:int -> unit
+  (** Record a resolved span (ring sequence number and its send / publish /
+      dequeue stamps) as a [Span] record. *)
 
-  type event = { ts : int; domain : int; tag : tag; arg : int }
+  val wake : parked_ns:int -> woke_ns:int -> unit
+  (** Record a park→wake edge as a [Wake_edge] record. *)
+
+  val dropped : unit -> int
+  (** Records overwritten by ring wraparound since the last drain. *)
+
+  type event = {
+    ts : int;
+    domain : int;  (** ring shard *)
+    tag : tag;
+    arg : int;
+    b : int;  (** [Span] send stamp; 0 for other tags *)
+    c : int;  (** [Span] publish stamp; 0 for other tags *)
+  }
+
+  val snapshot : unit -> event list
+  (** Every retained record, oldest first per domain, domains in shard
+      order; leaves the rings as they are. *)
 
   val drain : unit -> event list
-  (** All retained events, oldest first, merged across domains; clears the
+  (** All retained records, oldest first, merged across domains; clears the
       rings. *)
-
-  val to_csv : event list -> string
 
   val to_chrome_json : event list -> string
   (** Chrome trace-event JSON (chrome://tracing, Perfetto); [ts] is in

@@ -15,10 +15,11 @@
      span.remap  decoded -> done    (payload landed by page remap, §4.6)
      span.e2e    send -> done       (everything; stage sums reconcile)
 
-   Two clock regimes share this module.  The default clock is a noalloc
-   monotonic-ns C stub, used by the real-domain ring path and the waiter;
-   the simulator installs its virtual clock ([Engine.install_span_clock])
-   so sim spans are exact in simulated nanoseconds.
+   Every stamp reads [Obs.now], the clock trace records use too: a
+   noalloc monotonic-ns C stub by default, or the simulator's virtual
+   clock ([Engine.install_clock]) so sim spans are exact in simulated
+   nanoseconds.  The waiter's park→wake edge alone reads the raw
+   [monotonic_ns], since parking blocks a real thread.
 
    Hot-path discipline: stamping is a sampled store into a preallocated
    track (default 1-in-128 messages, [set_sample_shift]); the unsampled
@@ -26,18 +27,10 @@
 
 external monotonic_ns : unit -> int = "sds_span_monotonic_ns" [@@noalloc]
 
-(* Swappable clock, [Obs.Trace.set_clock] style.  Every stamp in one
-   process must come from the same source or stage sums stop meaning
-   anything, which is why the sim installs its clock globally. *)
-let clock = ref monotonic_ns
-let now () = !clock ()
-let set_clock f = clock := f
-let reset_clock () = clock := monotonic_ns
-
 let on = ref true
 
 (* Sample 1 message in 2^shift.  A sampled message pays three
-   clock_gettime calls plus the histogram observes and the flight-recorder
+   clock_gettime calls plus the histogram observes and the span record's
    stores (~150 ns end to end); the default shift 7 amortises that to
    ~1 ns/msg, inside the 2 ns budget.  Tests drop to shift 0 for
    every-message coverage. *)
@@ -113,24 +106,24 @@ let[@inline] sampled seq = seq land !gate_m = 0
    just the sampling guard and a cold call. *)
 let[@inline never] stamp_send_slow tr seq =
   let i = (seq lsr !shift) land tr.tmask in
-  Array.unsafe_set tr.send_ts i (now ());
+  Array.unsafe_set tr.send_ts i (Obs.now ());
   Array.unsafe_set tr.send_tag i (seq + 1)
 
 let[@inline] stamp_send tr ~seq = if sampled seq then stamp_send_slow tr seq
 
 let[@inline never] stamp_pub_slow tr seq =
   let i = (seq lsr !shift) land tr.tmask in
-  Array.unsafe_set tr.pub_ts i (now ());
+  Array.unsafe_set tr.pub_ts i (Obs.now ());
   Array.unsafe_set tr.pub_tag i (seq + 1)
 
 let[@inline] stamp_pub tr ~seq = if sampled seq then stamp_pub_slow tr seq
 
 (* Consumer side: resolve the span at dequeue.  Observes span.app (when a
    send stamp preceded the publish stamp), span.queue and span.e2e, and
-   records the resolved span into the flight recorder. *)
+   records the resolved span in the trace ring. *)
 let[@inline never] resolve_deq tr seq =
   let i = (seq lsr !shift) land tr.tmask in
-  let t = now () in
+  let t = Obs.now () in
   let pub = Array.unsafe_get tr.pub_ts i in
   if !on && Array.unsafe_get tr.pub_tag i = seq + 1 && pub > 0 && t >= pub then begin
     Obs.Metrics.observe h_queue (t - pub);
@@ -140,7 +133,7 @@ let[@inline never] resolve_deq tr seq =
     in
     if send < pub then Obs.Metrics.observe h_app (pub - send);
     Obs.Metrics.observe h_e2e (t - send);
-    Flight.span ~seq ~send ~pub ~deq:t
+    Obs.Trace.span ~seq ~send ~pub ~deq:t
   end
 
 let[@inline] note_deq tr ~seq = if sampled seq then resolve_deq tr seq
@@ -169,7 +162,7 @@ let observe_stages ~seq ~send ~pub ~vis ~deq ~parsed ~done_ ~remapped =
     Obs.Metrics.observe h_parse (parsed - deq);
     Obs.Metrics.observe (if remapped then h_remap else h_copy) (done_ - parsed);
     Obs.Metrics.observe h_e2e (done_ - send);
-    Flight.span ~seq ~send ~pub ~deq
+    Obs.Trace.span ~seq ~send ~pub ~deq
   end
 
 (* ---- wake edges -------------------------------------------------------- *)
@@ -179,5 +172,5 @@ let observe_stages ~seq ~send ~pub ~vis ~deq ~parsed ~done_ ~remapped =
 let observe_wake ~parked_ns ~woke_ns =
   if !on && woke_ns >= parked_ns then begin
     Obs.Metrics.observe h_wake (woke_ns - parked_ns);
-    Flight.wake ~parked_ns ~woke_ns
+    Obs.Trace.wake ~parked_ns ~woke_ns
   end

@@ -8,13 +8,9 @@
     allocation-free; the unsampled fast path is one mask and a branch. *)
 
 val monotonic_ns : unit -> int
-(** Raw CLOCK_MONOTONIC nanoseconds (noalloc C stub). *)
-
-val now : unit -> int
-(** The span clock: [monotonic_ns] unless a simulator clock is installed. *)
-
-val set_clock : (unit -> int) -> unit
-val reset_clock : unit -> unit
+(** Raw CLOCK_MONOTONIC nanoseconds (noalloc C stub), never swapped: the
+    clock for real-time deadlines and park→wake edges.  Span stamps read
+    {!Obs.now}. *)
 
 val set_enabled : bool -> unit
 val enabled : unit -> bool
@@ -53,7 +49,7 @@ val stamp_pub : track -> seq:int -> unit
 
 val note_deq : track -> seq:int -> unit
 (** Consumer: resolve the span for [seq] — observes [span.app],
-    [span.queue], [span.e2e] and records into the flight recorder. *)
+    [span.queue], [span.e2e] and records an {!Obs.Trace.span}. *)
 
 (** {1 Sim-path stage observation} *)
 
@@ -75,4 +71,4 @@ val observe_stages :
 
 val observe_wake : parked_ns:int -> woke_ns:int -> unit
 (** Park→wake edge (raw monotonic stamps): observes [span.wake] and
-    records a flight-recorder wake record. *)
+    records an {!Obs.Trace.wake}. *)

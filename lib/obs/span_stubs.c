@@ -1,4 +1,5 @@
-/* Monotonic nanosecond clock for Sds_obs.Span.
+/* Monotonic nanosecond clock: Sds_obs.Span.monotonic_ns, and the default
+ * source of Sds_obs.Obs.now.
  *
  * Declared [@@noalloc] on the OCaml side: the result is an immediate
  * (Val_long), no OCaml heap interaction, so the stamp compiles to a plain

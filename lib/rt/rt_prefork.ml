@@ -109,7 +109,7 @@ let run ?(payload = 64) ?(msgs_per_conn = 1000) ?conns ?(echo = false) ?(burst =
   while Rt_monitor.registered mon < workers do
     Domain.cpu_relax ()
   done;
-  let t0 = Sds_obs.Span.now () in
+  let t0 = Sds_obs.Span.monotonic_ns () in
   let clients =
     Array.init client_domains (fun c ->
         Rt_dom.spawn (fun () ->
@@ -126,7 +126,7 @@ let run ?(payload = 64) ?(msgs_per_conn = 1000) ?conns ?(echo = false) ?(burst =
   Array.iter Domain.join clients;
   Rt_monitor.close_listener mon;
   let worker_stats = Array.map Domain.join worker_handles in
-  let elapsed_ns = Sds_obs.Span.now () - t0 in
+  let elapsed_ns = Sds_obs.Span.monotonic_ns () - t0 in
   {
     workers;
     conns;

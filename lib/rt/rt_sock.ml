@@ -208,7 +208,8 @@ let[@inline] check_poison t = if Atomic.get t.dead then raise Peer_dead
 
 (* Bounded poison-aware parks: the ready conditions are the ring's own
    progress conditions *or* poison, and the deadline bounds the silence
-   window even if every notify is lost. *)
+   window even if every notify is lost.  Deadlines are raw monotonic time,
+   the clock [Waiter.wait_until] checks them against. *)
 let park_window_ns = 10_000_000
 
 let wait_tx_p t ~len =
@@ -217,7 +218,7 @@ let wait_tx_p t ~len =
   let need = R.record_bytes len in
   ignore
     (Waiter.wait_until (R.tx_waiter ring)
-       ~deadline_ns:(Sds_obs.Span.now () + park_window_ns)
+       ~deadline_ns:(Sds_obs.Span.monotonic_ns () + park_window_ns)
        ~ready:(fun () -> Atomic.get t.dead || R.credits ring >= need))
 
 let wait_rx_p t =
@@ -225,7 +226,7 @@ let wait_rx_p t =
   let ring = t.rx.ring in
   ignore
     (Waiter.wait_until (R.rx_waiter ring)
-       ~deadline_ns:(Sds_obs.Span.now () + park_window_ns)
+       ~deadline_ns:(Sds_obs.Span.monotonic_ns () + park_window_ns)
        ~ready:(fun () -> Atomic.get t.dead || not (R.is_empty ring)))
 
 (* The pool has fewer than [npages] pages for [h]: wait for the receiver
@@ -238,7 +239,7 @@ let wait_pool_p t h ~npages =
   let ring = t.tx.ring in
   ignore
     (Waiter.wait_until t.pool_w
-       ~deadline_ns:(Sds_obs.Span.now () + park_window_ns)
+       ~deadline_ns:(Sds_obs.Span.monotonic_ns () + park_window_ns)
        ~ready:(fun () -> Atomic.get t.dead || Pp.available h >= npages || R.is_empty ring));
   check_poison t
 

@@ -298,11 +298,12 @@ let[@inline] boundary t ~dom =
 
 (* Bounded park: wait for [ready] (which always includes "the stamped
    holder is dead"), and on timeout attempt the seize directly — progress
-   does not depend on any notify arriving. *)
+   does not depend on any notify arriving.  The deadline is raw monotonic
+   time, as [Waiter.wait_until] reads it. *)
 let park_bounded t ~dom ~ready =
   let bit = 1 lsl dom in
   mask_set t.waitmask bit;
-  let deadline_ns = Sds_obs.Span.now () + !wait_timeout_ns in
+  let deadline_ns = Sds_obs.Span.monotonic_ns () + !wait_timeout_ns in
   let woke = Waiter.wait_until (Rt_dom.waiter dom) ~deadline_ns ~ready in
   mask_clear t.waitmask bit;
   if not woke && holder_dead_word (Atomic.get t.state) then
@@ -344,10 +345,10 @@ let rec acquire_slow t ~dom =
 
 (* Cold takeover entry: measures request → resume as [token.takeover_ns]. *)
 let[@inline never] acquire_cold t ~dom =
-  let t0 = Sds_obs.Span.now () in
+  let t0 = Sds_obs.Span.monotonic_ns () in
   acquire_slow t ~dom;
   t.fast_owner <- dom;
-  Obs.Metrics.observe h_takeover (Sds_obs.Span.now () - t0)
+  Obs.Metrics.observe h_takeover (Sds_obs.Span.monotonic_ns () - t0)
 
 let acquire t ~dom = if t.fast_owner <> dom then acquire_cold t ~dom
 

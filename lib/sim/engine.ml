@@ -92,13 +92,10 @@ let run ?until ?max_events t =
 
 let stop t = t.running <- false
 
-(* Timestamp trace events with this engine's simulated clock. *)
-let install_trace_clock t = Obs.Trace.set_clock (fun () -> t.now)
-
-(* Stamp spans with simulated nanoseconds too: every stamp point then reads
-   the same clock, so per-stage durations are exact sim time and their sums
-   reconcile with span.e2e by construction. *)
-let install_span_clock t = Sds_obs.Span.set_clock (fun () -> t.now)
+(* Make this engine's simulated clock the one [Obs] clock: trace records
+   and span stamps then read sim nanoseconds, so per-stage durations are
+   exact sim time and their sums reconcile with span.e2e by construction. *)
+let install_clock t = Obs.set_clock (fun () -> t.now)
 
 let clear t =
   Heap.clear t.events;

@@ -37,13 +37,12 @@ val run : ?until:int -> ?max_events:int -> t -> unit
 val stop : t -> unit
 (** Stop a run in progress after the current event completes. *)
 
-val install_trace_clock : t -> unit
-(** Make [Obs.Trace] timestamp events with this engine's simulated clock
-    (nanoseconds) instead of the default tick counter. *)
-
-val install_span_clock : t -> unit
-(** Make [Sds_obs.Span] stamps read this engine's simulated clock, so span
-    stage durations are exact simulated nanoseconds. *)
+val install_clock : t -> unit
+(** Make this engine's simulated clock (nanoseconds) the one
+    {!Sds_obs.Obs.now} clock: [Obs.Trace] records and [Sds_obs.Span] stamps
+    then read simulated time, so span stage durations are exact simulated
+    nanoseconds.  It stays installed until the next [install_clock] or
+    {!Sds_obs.Obs.reset_clock}. *)
 
 val clear : t -> unit
 (** Drop all pending events and any recorded error. *)

@@ -39,7 +39,7 @@ let make ?(kind = Data) payload =
     kind;
     payload;
     sent_at = 0;
-    span_send = (if Sds_obs.Span.enabled () then Sds_obs.Span.now () else 0);
+    span_send = (if Sds_obs.Span.enabled () then Sds_obs.Obs.now () else 0);
     span_pub = 0;
     span_vis = 0;
     span_deq = 0;

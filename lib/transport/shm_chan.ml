@@ -96,7 +96,7 @@ let make engine ~cost ~via ~ring_size ~pool =
 let commit t msg =
   (* Span stamp: the message is now visible to the receiver (one cache
      migration or a NIC commit after publication). *)
-  msg.Msg.span_vis <- Sds_obs.Span.now ();
+  msg.Msg.span_vis <- Obs.now ();
   Queue.push msg t.descs;
   t.visible <- t.visible + 1;
   Waitq.signal t.rx_waitq;
@@ -159,7 +159,7 @@ let ring_payload msg =
    sender-side CPU time, and synchronization to the receiver's copy. *)
 let after_enqueue t msg =
   msg.Msg.sent_at <- Engine.now t.engine;
-  msg.Msg.span_pub <- Sds_obs.Span.now ();
+  msg.Msg.span_pub <- Obs.now ();
   t.sent <- t.sent + 1;
   Obs.Metrics.incr m_sends;
   Obs.Metrics.add m_send_bytes (Msg.payload_len msg);
@@ -243,7 +243,7 @@ let try_recv t =
   if t.visible = 0 then None
   else begin
     let msg = Queue.pop t.descs in
-    msg.Msg.span_deq <- Sds_obs.Span.now ();
+    msg.Msg.span_deq <- Obs.now ();
     t.visible <- t.visible - 1;
     (* Drain the ring record straight into the reusable scratch buffer: one
        ring-to-app copy, no per-recv allocation (the scratch only grows, to
@@ -272,7 +272,7 @@ let try_recv t =
       end
     in
     assert (Sds_ring.Spsc_ring.packed_len got = Msg.ring_len msg);
-    msg.Msg.span_parse <- Sds_obs.Span.now ();
+    msg.Msg.span_parse <- Obs.now ();
     t.received <- t.received + 1;
     Obs.Metrics.incr m_recvs;
     Obs.Metrics.add m_recv_bytes (Msg.payload_len msg);

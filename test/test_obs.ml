@@ -91,7 +91,7 @@ let test_trace_wraparound () =
   let args = List.map (fun e -> e.Trace.arg) events in
   Alcotest.(check (list int)) "newest retained" (List.init 64 (fun i -> 137 + i)) args;
   Alcotest.(check int) "drain clears" 0 (List.length (Trace.drain ()));
-  Trace.set_capacity 4096
+  Trace.set_capacity 2048 (* the default *)
 
 let test_chrome_roundtrip () =
   Trace.clear ();
@@ -102,6 +102,8 @@ let test_chrome_roundtrip () =
   Trace.emit_n Trace.Zerocopy_remap 32768;
   Trace.emit Trace.Ring_full;
   Trace.emit Trace.Fallback;
+  Trace.span ~seq:7 ~send:1_000 ~pub:2_000 ~deq:3_000;
+  Trace.wake ~parked_ns:500 ~woke_ns:2_500;
   let events = Trace.drain () in
   let js = Trace.to_chrome_json events in
   let back = Trace.parse_chrome_json js in
@@ -111,18 +113,10 @@ let test_chrome_roundtrip () =
       Alcotest.(check int) "ts" a.Trace.ts b.Trace.ts;
       Alcotest.(check int) "domain" a.Trace.domain b.Trace.domain;
       Alcotest.(check string) "tag" (Trace.tag_name a.Trace.tag) (Trace.tag_name b.Trace.tag);
-      Alcotest.(check int) "arg" a.Trace.arg b.Trace.arg)
+      Alcotest.(check int) "arg" a.Trace.arg b.Trace.arg;
+      Alcotest.(check int) "b" a.Trace.b b.Trace.b;
+      Alcotest.(check int) "c" a.Trace.c b.Trace.c)
     events back
-
-let test_trace_csv () =
-  Trace.clear ();
-  Trace.emit_n Trace.Send 1;
-  Trace.emit_n Trace.Recv 2;
-  let events = Trace.drain () in
-  let csv = Trace.to_csv events in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check int) "header + rows" 3 (List.length lines);
-  Alcotest.(check string) "header" "ts_ns,domain,event,arg" (List.hd lines)
 
 let test_stats_percentile_edges () =
   let module Stats = Sds_sim.Stats in
@@ -161,7 +155,6 @@ let suite =
     Alcotest.test_case "probe and reset re-basing" `Quick test_probe_and_reset;
     Alcotest.test_case "trace wraparound drops oldest" `Quick test_trace_wraparound;
     Alcotest.test_case "chrome trace JSON round-trip" `Quick test_chrome_roundtrip;
-    Alcotest.test_case "trace CSV shape" `Quick test_trace_csv;
     Alcotest.test_case "stats percentile p0/p999" `Quick test_stats_percentile_edges;
     Alcotest.test_case "metrics JSON snapshot" `Quick test_json_snapshot;
   ]

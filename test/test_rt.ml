@@ -562,6 +562,35 @@ let test_monitor_steal () =
   Alcotest.(check int) "every connection served by worker 0" conns (Atomic.get served);
   Alcotest.(check bool) "some of them were stolen from worker 1" true (Atomic.get stolen > 0)
 
+(* Bounded parks take their deadlines from the raw monotonic clock, the
+   clock [Waiter.wait_until] checks them against.  An installed [Obs]
+   clock (here one stuck at 0) must not make every timed wait expire at
+   once and spin: a 50 ms receive wait spans ~5 of the 10 ms park
+   windows. *)
+let test_sock_deadlines_ignore_clock () =
+  let dom = Rt_dom.self () in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:(-1) () in
+  let timeouts0 = Obs.Metrics.counter_value "notify.wait_timeouts" in
+  let got =
+    Fun.protect ~finally:Obs.reset_clock (fun () ->
+        Obs.set_clock (fun () -> 0);
+        let receiver =
+          Rt_dom.spawn (fun () ->
+              let d = Rt_dom.self () in
+              let dst = Bytes.create 64 in
+              Rt_sock.recv b ~dom:d dst ~off:0 ~len:64)
+        in
+        Unix.sleepf 0.05;
+        Rt_sock.send a ~dom (Bytes.make 64 'c') ~off:0 ~len:64;
+        Domain.join receiver)
+  in
+  Rt_sock.close a ~dom;
+  Alcotest.(check int) "the 64 B message arrived" 64 got;
+  let timeouts = Obs.Metrics.counter_value "notify.wait_timeouts" - timeouts0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d wait timeouts in a 50 ms wait (at most 16)" timeouts)
+    true (timeouts <= 16)
+
 (* ---- flight-recorder state providers ---- *)
 
 let test_flight_providers () =
@@ -666,6 +695,8 @@ let suite =
       test_sock_small_pool_keeps_desc_path;
     Alcotest.test_case "sock: dropped pairs free their pools" `Quick
       test_sock_dropped_pairs_free_pools;
+    Alcotest.test_case "sock: deadlines ignore an installed clock" `Quick
+      test_sock_deadlines_ignore_clock;
     Alcotest.test_case "prefork: echo smoke" `Quick test_prefork_echo;
     Alcotest.test_case "prefork: dispatch invariants" `Quick test_prefork_invariants;
     Alcotest.test_case "prefork: zero-copy payloads" `Quick test_prefork_zero_copy;

@@ -1,10 +1,13 @@
 (* Sds_span: percentile interpolation fidelity, sim-path stage
    reconciliation against span.e2e, ring-path span correlation under an
    interleaved (inline / batched / descriptor) two-domain soak, the
-   copy-policy visibility metrics, and the flight-recorder deadlock dump
-   (watchdog fires, dump parses, state sections present). *)
+   copy-policy visibility metrics, the one clock behind trace records and
+   span stamps, and the flight recorder: deadlock dump (watchdog fires,
+   dump parses, state sections and the parked domain's events present)
+   and a field-by-field render/parse round trip. *)
 
 module Obs = Sds_obs.Obs
+module Trace = Obs.Trace
 module Span = Sds_obs.Span
 module Flight = Sds_obs.Flight
 module R = Sds_ring.Spsc_ring
@@ -52,11 +55,10 @@ let test_percentile_interpolation () =
 
 let test_sim_reconciliation () =
   Obs.Metrics.reset ();
-  Flight.clear ();
+  Trace.clear ();
   let run ~hosts ~size ~rounds ~warmup =
     let w = Common.make_world () in
-    Sds_sim.Engine.install_trace_clock w.Common.engine;
-    Sds_sim.Engine.install_span_clock w.Common.engine;
+    Sds_sim.Engine.install_clock w.Common.engine;
     let a = Common.add_host w in
     let b = if hosts = 1 then a else Common.add_host w in
     ignore
@@ -68,7 +70,7 @@ let test_sim_reconciliation () =
      ones (§4.6 remap path), so every stage histogram gets traffic. *)
   run ~hosts:1 ~size:64 ~rounds:256 ~warmup:16;
   run ~hosts:2 ~size:32768 ~rounds:64 ~warmup:8;
-  Span.reset_clock ();
+  Obs.reset_clock ();
   let s h = Obs.Metrics.summarize_hist h in
   let app = s Span.h_app
   and queue = s Span.h_queue
@@ -106,7 +108,7 @@ let test_sim_reconciliation () =
 
    Inline singles, vectored batches and descriptor messages interleave
    through one ring; at sample shift 0 every consumed message must resolve
-   to exactly one flight-recorded span with monotone stamps.  The ring is
+   to exactly one [Span] record with monotone stamps.  The ring is
    kept small so the in-flight window stays inside the track's 256 slots
    (a deeper ring would recycle slots before the consumer resolves them —
    the tag check would drop those, which is the documented behaviour, but
@@ -116,8 +118,7 @@ let test_ring_soak_correlation () =
   let saved_shift = Span.sample_shift () in
   Span.set_sample_shift 0;
   Obs.Metrics.reset ();
-  Flight.clear ();
-  Flight.set_capacity 8192;
+  Trace.set_capacity 8192;
   let msgs = 3000 in
   let r = R.create ~size:4096 () in
   let consumer =
@@ -156,24 +157,22 @@ let test_ring_soak_correlation () =
       if R.try_enqueue_descs r descs ~n:2 then incr sent else R.wait_tx r ~len:16
   done;
   Domain.join consumer;
-  let spans =
-    List.filter (fun rc -> rc.Flight.kind = Flight.kind_span) (Flight.records ())
-  in
-  let seqs = List.map (fun rc -> rc.Flight.a) spans in
+  let spans = List.filter (fun e -> e.Trace.tag = Trace.Span) (Trace.snapshot ()) in
+  let seqs = List.map (fun e -> e.Trace.arg) spans in
   let sorted = List.sort Int.compare seqs in
   Alcotest.(check int) "every consumed message resolved to exactly one span" msgs
     (List.length spans);
   Alcotest.(check (list int)) "sequence numbers are exactly 0..msgs-1"
     (List.init msgs Fun.id) sorted;
   List.iter
-    (fun rc ->
-      let send = rc.Flight.b and pub = rc.Flight.c and deq = rc.Flight.d in
+    (fun e ->
+      let send = e.Trace.b and pub = e.Trace.c and deq = e.Trace.ts in
       Alcotest.(check bool) "app stage non-negative (send <= pub)" true (send <= pub);
       Alcotest.(check bool) "queue stage non-negative (pub <= deq)" true (pub <= deq);
       Alcotest.(check bool) "app + queue = e2e" true
         (pub - send + (deq - pub) = deq - send))
     spans;
-  Flight.set_capacity 512;
+  Trace.set_capacity 2048 (* the default *);
   Span.set_sample_shift saved_shift
 
 (* ---- copy-policy visibility: threshold gauge, switch counter, trace ---- *)
@@ -211,7 +210,7 @@ let test_watchdog_dump () =
   let saved_shift = Span.sample_shift () in
   Span.set_sample_shift 0;
   Obs.Metrics.reset ();
-  Flight.clear ();
+  Trace.clear ();
   (* Some resolved traffic so the dump carries spans. *)
   let r = R.create ~size:4096 () in
   let dst = Bytes.create 64 in
@@ -227,8 +226,10 @@ let test_watchdog_dump () =
   (* The deliberate deadlock: a consumer parked on an empty ring, and a
      progress probe that never advances. *)
   let r2 = R.create ~size:4096 () in
+  let consumer_shard = Atomic.make (-1) in
   let consumer =
     Domain.spawn (fun () ->
+        Atomic.set consumer_shard ((Domain.self () :> int) land (Obs.shards - 1));
         let d = Bytes.create 64 in
         ignore (R.dequeue_packed_blocking r2 ~dst:d ~dst_off:0))
   in
@@ -256,7 +257,14 @@ let test_watchdog_dump () =
   Flight.watchdog_stop wd;
   let d = Flight.parse_dump text in
   Alcotest.(check string) "dump reason" "deadlock" d.Flight.d_reason;
-  Alcotest.(check bool) "dump carries recent spans" true (List.length d.Flight.d_spans > 0);
+  let has tag ?domain () =
+    List.exists
+      (fun e -> e.Trace.tag = tag && Option.fold ~none:true ~some:(( = ) e.Trace.domain) domain)
+      d.Flight.d_records
+  in
+  Alcotest.(check bool) "dump carries recent spans" true (has Trace.Span ());
+  Alcotest.(check bool) "dump holds the parked consumer's Park event" true
+    (has Trace.Park ~domain:(Atomic.get consumer_shard) ());
   Alcotest.(check bool) "ring state section present" true
     (List.mem_assoc "ring" d.Flight.d_states);
   Alcotest.(check bool) "pagepool state section present" true
@@ -270,6 +278,85 @@ let test_watchdog_dump () =
   Sys.remove fired;
   Span.set_sample_shift saved_shift
 
+(* ---- one clock: trace records and span stamps read the same source ---- *)
+
+let test_one_clock () =
+  let saved_shift = Span.sample_shift () and saved_on = Span.enabled () in
+  Span.set_sample_shift 0;
+  Span.set_enabled true;
+  let stamp_all () =
+    Trace.clear ();
+    Trace.emit Trace.Send;
+    let tr = Span.make_track () in
+    Span.stamp_send tr ~seq:0;
+    Span.stamp_pub tr ~seq:0;
+    Span.note_deq tr ~seq:0;
+    let evs = Trace.snapshot () in
+    let send = List.find (fun e -> e.Trace.tag = Trace.Send) evs in
+    let span = List.find (fun e -> e.Trace.tag = Trace.Span) evs in
+    [ send.Trace.ts; span.Trace.b; span.Trace.c; span.Trace.ts ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.reset_clock ();
+      Span.set_sample_shift saved_shift;
+      Span.set_enabled saved_on)
+    (fun () ->
+      Obs.set_clock (fun () -> 42);
+      Alcotest.(check (list int)) "emit, send, publish and dequeue stamps read the installed clock"
+        [ 42; 42; 42; 42 ] (stamp_all ());
+      Obs.reset_clock ();
+      let t0 = Span.monotonic_ns () in
+      let stamps = stamp_all () in
+      let t1 = Span.monotonic_ns () in
+      List.iter
+        (fun ts ->
+          Alcotest.(check bool) "one reset puts every stamp back on the monotonic clock" true
+            (t0 <= ts && ts <= t1))
+        stamps)
+
+(* ---- flight recorder: every record survives render -> parse_dump ---- *)
+
+let test_dump_roundtrip () =
+  let saved_shift = Span.sample_shift () in
+  Span.set_sample_shift 0;
+  Trace.clear ();
+  (* Mixed traffic: trace events (negative and large arguments too), ring
+     spans, park->wake edges, on this domain and on a second one. *)
+  let traffic () =
+    Trace.emit Trace.Send;
+    Trace.emit_n Trace.Recv 64;
+    Trace.emit_n Trace.Batch (-3);
+    Trace.emit_n Trace.Zerocopy_remap (1 lsl 40);
+    let r = R.create ~size:4096 () in
+    let dst = Bytes.create 64 and payload = Bytes.make 64 'r' in
+    for _ = 1 to 5 do
+      R.stamp_send r;
+      ignore (R.try_enqueue r payload ~off:0 ~len:64);
+      ignore (R.try_dequeue_packed ~auto_credit:true r ~dst ~dst_off:0)
+    done;
+    Span.observe_wake ~parked_ns:1_000 ~woke_ns:4_500
+  in
+  traffic ();
+  Domain.join (Domain.spawn traffic);
+  let expect = Trace.snapshot () in
+  let d = Flight.parse_dump (Flight.render ~reason:"roundtrip" ()) in
+  Span.set_sample_shift saved_shift;
+  let count tag = List.length (List.filter (fun e -> e.Trace.tag = tag) expect) in
+  Alcotest.(check bool) "traffic left trace events, spans and wake edges" true
+    (count Trace.Send >= 2 && count Trace.Span >= 10 && count Trace.Wake_edge >= 2);
+  Alcotest.(check int) "every record parsed back" (List.length expect)
+    (List.length d.Flight.d_records);
+  List.iter2
+    (fun (a : Trace.event) (b : Trace.event) ->
+      Alcotest.(check string) "kind" (Trace.tag_name a.tag) (Trace.tag_name b.tag);
+      Alcotest.(check int) "domain" a.domain b.domain;
+      Alcotest.(check int) "ts (d=)" a.ts b.ts;
+      Alcotest.(check int) "arg (a=)" a.arg b.arg;
+      Alcotest.(check int) "b=" a.b b.b;
+      Alcotest.(check int) "c=" a.c b.c)
+    expect d.Flight.d_records
+
 let suite =
   [
     Alcotest.test_case "percentile interpolation" `Quick test_percentile_interpolation;
@@ -277,4 +364,6 @@ let suite =
     Alcotest.test_case "ring soak correlation" `Quick test_ring_soak_correlation;
     Alcotest.test_case "copy-policy visibility" `Quick test_copy_policy_visibility;
     Alcotest.test_case "flight recorder deadlock dump" `Quick test_watchdog_dump;
+    Alcotest.test_case "one clock for trace and span stamps" `Quick test_one_clock;
+    Alcotest.test_case "flight dump round-trips every record" `Quick test_dump_roundtrip;
   ]
